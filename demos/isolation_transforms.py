@@ -30,11 +30,12 @@ rng = np.random.default_rng(3)
 real = realize_channel(cfg, rng)
 noise = noise_variance_from_msnr(real.h, 10.0)
 pilots = generate_pilots(cfg.ues, 8)
-est = estimate_from_training(simulate_training(real.h, pilots, noise, rng), pilots)
+y_train = simulate_training(real.h, pilots, noise, rng)
+est = estimate_from_training(y_train, pilots, cfg.clusters)
 print(f"strongest user (true column 0) estimated as column {est.strong_index}")
 
 iso = design_hr_iso(est.h_strong, cfg.clusters)
-hmax = design_hr_max(est.c_y_hat, cfg.clusters)
+hmax = design_hr_max(est.c_y_blocks)
 
 h1 = real.h[:, 0]
 print("\nstrong-user energy fraction on each cluster's first output:")
@@ -55,7 +56,7 @@ print(f"  |first output|^2 = {abs(out[0])**2:.6f}   ||a||^2 = {np.linalg.norm(a)
 
 # The covariance-based reflector pins the cluster's top eigenvalue on
 # output 1 of the transformed covariance.
-block = est.c_y_hat[:s, :s]
+block = est.c_y_blocks[0]
 top, _ = dominant_eigenpair(block)
 q = householder_matrix(hmax.vectors[0])
 isolated = float(np.real(q[:, 0].conj() @ block @ q[:, 0]))

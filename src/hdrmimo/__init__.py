@@ -60,6 +60,7 @@ from .linalg import (
 )
 from .training import (
     TrainingOutput,
+    covariance_blocks,
     estimate_from_training,
     generate_pilots,
     ls_channel_estimate,

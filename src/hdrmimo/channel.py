@@ -3,9 +3,23 @@ median-SNR noise model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+def require_finite_floats(cfg) -> None:
+    """Reject a NaN or infinite value in any float field of a config dataclass.
+
+    The ValueError names the offending key, so a bad value fails when the
+    config is built rather than later inside a trial.
+    """
+    for f in fields(cfg):
+        if f.type in (float, "float"):
+            value = getattr(cfg, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +45,7 @@ class ScenarioConfig:
     shadowing_std_db: float = 8.0
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         if self.bs_antennas < 1 or self.ues < 2:
             raise ValueError("need bs_antennas >= 1 and ues >= 2")
         if self.bs_antennas < self.ues:

@@ -4,7 +4,6 @@ bit-error accounting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,15 +21,9 @@ _LEVEL_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 
 @dataclass(frozen=True)
 class EqualizerMatrix:
-    """Linear detector W plus the constants it was built from."""
+    """Linear detector W, applied as s_hat = W r."""
 
     w: np.ndarray  # (U, B)
-    gamma: float
-    dist_power: float
-    n0: float
-    h_hat: Optional[np.ndarray] = None
-    transform: Optional[SpatialTransform] = None
-    omega: Optional[np.ndarray] = None
 
 
 def modulate(bits: np.ndarray) -> np.ndarray:
@@ -78,44 +71,49 @@ def build_lmmse(
 ) -> EqualizerMatrix:
     """Linearized-model LMMSE detector for the quantized receive chain.
 
-    W = (1/gamma) Hh^H F^H O (O F Hh Hh^H F^H O + N0 O F F^H O
-        + (2 D / gamma^2) I)^{-1}
+    With M = O F Hh (O the AGC gains, F the spatial transform) and the
+    diagonal effective noise D = N0 O^2 + (2 D_q / gamma^2) I (F is unitary,
+    so the noise stays white before the gains), the detector is
 
-    The transform is applied through per-cluster rank-1 reflections (never a
-    dense B x B matrix), and the inverse is realized as a Hermitian
-    positive-definite solve. Since the transform blocks are unitary,
-    F F^H = I and the noise term reduces to N0 O^2.
+        W = (1/gamma) M^H (M M^H + D)^{-1}
+          = (1/gamma) (I_U + A^H A)^{-1} A^H D^{-1/2},   A = D^{-1/2} M,
+
+    by the push-through identity. Only the U x U system G = I_U + A^H A is
+    factored; every eigenvalue of G is >= 1, so it is positive definite by
+    construction. The transform is applied through per-cluster rank-1
+    reflections, never as a dense B x B matrix.
+
+    Requires D > 0 entrywise: a noiseless, distortion-free chain (N0 = 0
+    and D_q = 0) raises ``np.linalg.LinAlgError``.
     """
     if quant.gamma <= 0:
         raise ValueError("Bussgang gain must be positive")
-    h_hat = np.asarray(h_hat, dtype=complex)
+    d = n0 * gains.omega**2 + 2.0 * quant.dist_power / quant.gamma**2
+    if not np.all(d > 0):
+        raise np.linalg.LinAlgError(
+            "LMMSE effective noise must be positive on every ADC: the chain is "
+            "noiseless and distortion-free (N0 = 0 and zero Bussgang distortion)"
+        )
+    d_isqrt = 1.0 / np.sqrt(d)
     m = gains.omega[:, None] * apply_transform(transform, h_hat)
-    inner = m @ m.conj().T
-    diag = np.diagonal(inner).real + n0 * gains.omega**2 + (
-        2.0 * quant.dist_power / quant.gamma**2
-    )
-    np.fill_diagonal(inner, diag)
-    x = posdef_inverse_apply(inner, m)
-    return EqualizerMatrix(
-        w=x.conj().T / quant.gamma,
-        gamma=quant.gamma,
-        dist_power=quant.dist_power,
-        n0=n0,
-        h_hat=h_hat,
-        transform=transform,
-        omega=gains.omega,
-    )
+    a = d_isqrt[:, None] * m
+    g = a.conj().T @ a
+    np.fill_diagonal(g, np.diagonal(g).real + 1.0)
+    x = posdef_inverse_apply(g, a.conj().T * d_isqrt[None, :])
+    return EqualizerMatrix(w=x / quant.gamma)
 
 
 def build_unquantized_lmmse(h_hat: np.ndarray, n0: float) -> EqualizerMatrix:
-    """Classical LMMSE detector Hh^H (Hh Hh^H + N0 I)^{-1} on raw observations."""
+    """Classical LMMSE detector on raw observations, in its U x U form.
+
+    W = Hh^H (Hh Hh^H + N0 I_B)^{-1} = (Hh^H Hh + N0 I_U)^{-1} Hh^H, so only
+    a U x U Hermitian system is factored. With N0 = 0 this is the
+    zero-forcing detector and needs Hh to have full column rank.
+    """
     h_hat = np.asarray(h_hat, dtype=complex)
-    gram = h_hat @ h_hat.conj().T
+    gram = h_hat.conj().T @ h_hat
     np.fill_diagonal(gram, np.diagonal(gram).real + n0)
-    x = posdef_inverse_apply(gram, h_hat)
-    return EqualizerMatrix(
-        w=x.conj().T, gamma=1.0, dist_power=0.0, n0=n0, h_hat=h_hat
-    )
+    return EqualizerMatrix(w=posdef_inverse_apply(gram, h_hat.conj().T))
 
 
 def equalize(eq: EqualizerMatrix, r: np.ndarray) -> np.ndarray:

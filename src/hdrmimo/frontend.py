@@ -106,25 +106,22 @@ def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
     return SpatialTransform(HR_ISO, s, tuple(vectors))
 
 
-def design_hr_max(
-    c_y: np.ndarray, clusters: int, tol: float = 1e-10
-) -> SpatialTransform:
+def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
     """Per-cluster reflectors that focus the dominant receive direction.
 
-    Each cluster takes the S x S diagonal sub-block of the receive
-    covariance, computes its dominant eigenvector l_1, and reflects with
-    v = l_1 + sign([l_1]_1) e_1. A zero sub-block falls back to identity.
+    ``c_blocks`` is the (C, S, S) stack of diagonal receive-covariance
+    blocks, one per cluster. Each cluster computes its block's dominant
+    eigenvector l_1 and reflects with v = l_1 + sign([l_1]_1) e_1. A zero
+    block falls back to identity.
     """
-    c_y = np.asarray(c_y, dtype=complex)
-    b = c_y.shape[0]
-    if c_y.ndim != 2 or c_y.shape[1] != b:
-        raise ValueError(f"covariance must be square, got shape {c_y.shape}")
-    if b % clusters != 0:
-        raise ValueError(f"dimension {b} not divisible by {clusters} clusters")
-    s = b // clusters
+    c_blocks = np.asarray(c_blocks, dtype=complex)
+    if c_blocks.ndim != 3 or c_blocks.shape[1] != c_blocks.shape[2]:
+        raise ValueError(
+            f"hr-max design needs a (C, S, S) stack of covariance blocks, "
+            f"got shape {c_blocks.shape}"
+        )
     vectors = []
-    for c in range(clusters):
-        block = c_y[c * s : (c + 1) * s, c * s : (c + 1) * s]
+    for block in c_blocks:
         if not np.any(block):
             vectors.append(None)
             continue
@@ -135,7 +132,7 @@ def design_hr_max(
         v = vec.astype(complex).copy()
         v[0] += complex_sign(vec[0])
         vectors.append(v)
-    return SpatialTransform(HR_MAX, s, tuple(vectors))
+    return SpatialTransform(HR_MAX, c_blocks.shape[1], tuple(vectors))
 
 
 def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
@@ -250,25 +247,26 @@ def design_quantizer(q: int) -> QuantizerModel:
     return QuantizerModel(q=q, delta=delta, gamma=gamma, dist_power=dist)
 
 
-def compute_agc(c_y: np.ndarray, transform: SpatialTransform) -> AgcGains:
+def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:
     """Per-ADC gains omega_b = sqrt(2 / diag(F C_y F^H)_b).
 
-    Only the per-cluster diagonal blocks of the transformed covariance are
-    needed; each is conjugated by its reflector via rank-1 applications.
+    The diagonal of F C_y F^H depends only on the diagonal blocks of C_y,
+    so ``c_blocks`` is the (C, S, S) stack of those blocks, one per
+    cluster; each is conjugated by its reflector via rank-1 applications.
     Diagonal entries are floored at a small fraction of the average power
     before inversion so numerically dead dimensions cannot produce infinite
     gains.
     """
-    c_y = np.asarray(c_y, dtype=complex)
-    b = transform.dim
-    if c_y.shape != (b, b):
-        raise ValueError(
-            f"covariance shape {c_y.shape} does not match transform dimension {b}"
-        )
+    c_blocks = np.asarray(c_blocks, dtype=complex)
     s = transform.block_size
+    if c_blocks.shape != (transform.clusters, s, s):
+        raise ValueError(
+            f"AGC needs a (C, S, S) = ({transform.clusters}, {s}, {s}) stack of "
+            f"covariance blocks for this transform, got shape {c_blocks.shape}"
+        )
+    b = transform.dim
     diag = np.empty(b)
-    for c, v in enumerate(transform.vectors):
-        block = c_y[c * s : (c + 1) * s, c * s : (c + 1) * s]
+    for c, (v, block) in enumerate(zip(transform.vectors, c_blocks)):
         if v is not None:
             block = householder_apply(v, block)
             block = householder_apply(v, block.conj().T).conj().T

@@ -14,6 +14,7 @@ from .channel import (
     noise_variance_from_msnr,
     observe,
     realize_channel,
+    require_finite_floats,
 )
 from .equalizer import (
     build_lmmse,
@@ -33,9 +34,9 @@ from .frontend import (
     identity_transform,
 )
 from .training import (
+    covariance_blocks,
     estimate_from_training,
     generate_pilots,
-    sample_covariance,
     simulate_training,
 )
 
@@ -74,6 +75,7 @@ class ExperimentConfig:
     quantized_training: bool = False
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         self.scenario()  # validates the geometry/power-control fields
         if not 1 <= self.q_bits <= 12:
             raise ValueError(f"q_bits must be in 1..12, got {self.q_bits}")
@@ -161,7 +163,7 @@ def _quantized_training_block(
     # q-bit converters (no spatial transform exists yet at training time),
     # with AGC taken from the raw block, then undo gain and Bussgang scaling.
     ident = identity_transform(y_train.shape[0], clusters)
-    gains = compute_agc(sample_covariance(y_train), ident)
+    gains = compute_agc(covariance_blocks(y_train, clusters), ident)
     quant = design_quantizer(q_bits)
     r = adc(y_train, gains, quant)
     return r / (quant.gamma * gains.omega[:, None])
@@ -192,7 +194,7 @@ def run_trial(
     y_train = simulate_training(realization.h, pilots, noise, rng)
     if cfg.quantized_training and method != "perfect":
         y_train = _quantized_training_block(y_train, cfg.clusters, cfg.q_bits)
-    est = estimate_from_training(y_train, pilots)
+    est = estimate_from_training(y_train, pilots, cfg.clusters)
 
     if method == "perfect":
         transform = None
@@ -201,11 +203,11 @@ def run_trial(
         if method == "hr-iso":
             transform = design_hr_iso(est.h_strong, cfg.clusters)
         elif method == "hr-max":
-            transform = design_hr_max(est.c_y_hat, cfg.clusters)
+            transform = design_hr_max(est.c_y_blocks)
         else:  # wsu, none
             transform = identity_transform(cfg.bs_antennas, cfg.clusters)
         quant = design_quantizer(cfg.q_bits)
-        gains = compute_agc(est.c_y_hat, transform)
+        gains = compute_agc(est.c_y_blocks, transform)
         eq = build_lmmse(est.h_hat, transform, gains, quant, noise.n0)
 
     nbits = 4 * cfg.ues

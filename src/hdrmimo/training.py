@@ -1,5 +1,6 @@
 """Pilot-based training: orthogonal pilots, least-squares channel
-estimation, sample covariance, and strongest-user identification."""
+estimation, per-cluster covariance blocks, and strongest-user
+identification."""
 
 from __future__ import annotations
 
@@ -13,11 +14,14 @@ from .linalg import hadamard, posdef_inverse_apply
 
 @dataclass(frozen=True)
 class TrainingOutput:
-    """Everything the receiver learns from one training phase."""
+    """Everything the receiver learns from one training phase.
 
-    y_train: np.ndarray  # (B, K) received training block
+    ``c_y_blocks`` holds only the C diagonal S x S blocks of the training
+    block's sample covariance, the part the transform design and AGC read.
+    """
+
     h_hat: np.ndarray  # (B, U) least-squares channel estimate
-    c_y_hat: np.ndarray  # (B, B) sample covariance of the training block
+    c_y_blocks: np.ndarray  # (C, S, S) per-cluster sample covariance blocks
     strong_index: int  # estimated strongest-user column
     h_strong: np.ndarray  # (B,) that user's estimated channel
 
@@ -57,7 +61,11 @@ def ls_channel_estimate(y_train: np.ndarray, pilots: np.ndarray) -> np.ndarray:
 
 
 def sample_covariance(y_train: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Sample covariance (1/K) Y_T Y_T^H of the training block."""
+    """Full B x B sample covariance (1/K) Y_T Y_T^H of the training block.
+
+    The definition that ``covariance_blocks`` computes the diagonal blocks
+    of; trials only need those blocks and never build this matrix.
+    """
     y_train = np.asarray(y_train, dtype=complex)
     if k is None:
         k = y_train.shape[1]
@@ -66,20 +74,37 @@ def sample_covariance(y_train: np.ndarray, k: int | None = None) -> np.ndarray:
     return (y_train @ y_train.conj().T) / k
 
 
+def covariance_blocks(y_train: np.ndarray, clusters: int) -> np.ndarray:
+    """Diagonal S x S blocks (1/K) Y_c Y_c^H of the sample covariance.
+
+    Y_c is the length-S slice of the training block seen by cluster c. The
+    (C, S, S) stack equals the diagonal blocks of ``sample_covariance`` at
+    B S K work instead of B^2 K.
+    """
+    y_train = np.asarray(y_train, dtype=complex)
+    b, k = y_train.shape
+    if clusters < 1 or b % clusters != 0:
+        raise ValueError(f"dimension {b} not divisible by {clusters} clusters")
+    if k < 1:
+        raise ValueError("sample covariance needs at least one snapshot")
+    y_c = y_train.reshape(clusters, b // clusters, k)
+    return (y_c @ y_c.conj().transpose(0, 2, 1)) / k
+
+
 def strongest_ue_index(h_hat: np.ndarray) -> int:
     """Column with the largest estimated norm; ties go to the lowest index."""
     return int(np.argmax(np.sum(np.abs(h_hat) ** 2, axis=0)))
 
 
-def estimate_from_training(y_train: np.ndarray, pilots: np.ndarray) -> TrainingOutput:
-    """LS estimate, sample covariance, and strongest-user pick in one pass."""
+def estimate_from_training(
+    y_train: np.ndarray, pilots: np.ndarray, clusters: int
+) -> TrainingOutput:
+    """LS estimate, per-cluster covariance blocks, and strongest-user pick."""
     h_hat = ls_channel_estimate(y_train, pilots)
-    c_y_hat = sample_covariance(y_train)
     strong = strongest_ue_index(h_hat)
     return TrainingOutput(
-        y_train=y_train,
         h_hat=h_hat,
-        c_y_hat=c_y_hat,
+        c_y_blocks=covariance_blocks(y_train, clusters),
         strong_index=strong,
         h_strong=h_hat[:, strong],
     )

@@ -80,7 +80,7 @@ def test_criterion_2_max_power_isolation_optimality():
         for _ in range(334):
             c = random_complex(rng, m, m)
             c = c @ c.conj().T
-            transform = design_hr_max(c, 1)
+            transform = design_hr_max(c[None])
             z = reflected_basis_vector(transform.vectors[0].reshape(-1, 1))[:, 0]
             isolated = float(np.real(z.conj() @ c @ z))
             top = float(np.linalg.eigvalsh(c)[-1])
@@ -207,7 +207,8 @@ def test_criterion_5_fine_quantization_matches_unquantized():
         real = realize_channel(scen, rng, power_control_all=True)
         noise = noise_variance_from_msnr(real.h, msnr_db)
         c_y = real.h @ real.h.conj().T + noise.n0 * np.eye(32)
-        gains = compute_agc(c_y, ident)
+        blocks = c_y.reshape(4, 8, 4, 8)[np.arange(4), :, np.arange(4), :]
+        gains = compute_agc(blocks, ident)
         eq_q = build_lmmse(real.h, ident, gains, quant, noise.n0)
         eq_p = build_unquantized_lmmse(real.h, noise.n0)
         bits = rng.integers(0, 2, size=(200, 16))

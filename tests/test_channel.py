@@ -36,6 +36,15 @@ class TestScenarioConfig:
     def test_antennas_per_cluster(self):
         assert small_cfg().antennas_per_cluster == 4
 
+    @pytest.mark.parametrize(
+        "key",
+        ["rho_db", "dr_limit_db", "angle_sector_deg", "path_decay_db", "shadowing_std_db"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            small_cfg(**{key: value})
+
 
 class TestGenerateChannel:
     def test_broadside_steering(self):

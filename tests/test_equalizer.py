@@ -17,8 +17,10 @@ from hdrmimo.equalizer import (
 from hdrmimo.frontend import (
     AgcGains,
     QuantizerModel,
+    apply_transform,
     compute_agc,
     design_hr_iso,
+    design_hr_max,
     design_quantizer,
     identity_transform,
 )
@@ -27,6 +29,37 @@ from hdrmimo.linalg import householder_matrix
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def diagonal_blocks(c, clusters):
+    """(C, S, S) stack of the diagonal blocks of a B x B matrix."""
+    s = c.shape[0] // clusters
+    idx = np.arange(clusters)
+    return c.reshape(clusters, s, clusters, s)[idx, :, idx, :]
+
+
+def dense_transform_matrix(transform):
+    return scipy.linalg.block_diag(
+        *[
+            np.eye(transform.block_size) if v is None else householder_matrix(v)
+            for v in transform.vectors
+        ]
+    )
+
+
+def dense_lmmse_oracle(h, transform, gains, quant, n0):
+    """Literal B x B evaluation of the quantized-chain detector formula."""
+    b = h.shape[0]
+    f = dense_transform_matrix(transform)
+    omega = np.diag(gains.omega)
+    inner = (
+        omega @ f @ h @ h.conj().T @ f.conj().T @ omega
+        + n0 * omega @ f @ f.conj().T @ omega
+        + (2.0 * quant.dist_power / quant.gamma**2) * np.eye(b)
+    )
+    return (
+        (1.0 / quant.gamma) * h.conj().T @ f.conj().T @ omega @ np.linalg.inv(inner)
+    )
 
 
 def all_bit_vectors():
@@ -124,6 +157,19 @@ class TestBuildLmmse:
         assert np.allclose(eq.w, [[0.5]])
         assert np.allclose(build_unquantized_lmmse(h, 1.0).w, [[0.5]])
 
+    def test_unquantized_matches_dense_oracle_many_antennas(self):
+        # N0 is kept near the per-entry channel power: the B x B oracle's
+        # own rounding grows with cond(Hh Hh^H + N0 I) ~ B ||h||^2 / N0.
+        rng = np.random.default_rng(7)
+        b, u = 64, 4
+        for n0 in (0.5, 1.0, 4.0):
+            h = random_complex(rng, b, u)
+            h[:, 0] *= 3.0
+            dense = h.conj().T @ np.linalg.inv(h @ h.conj().T + n0 * np.eye(b))
+            w = build_unquantized_lmmse(h, n0).w
+            assert w.shape == (u, b)
+            assert np.linalg.norm(w - dense) <= 1e-10 * np.linalg.norm(dense)
+
     def test_matches_dense_composition_oracle(self):
         # Literal dense evaluation of the detector formula, with the
         # transform materialized as a block-diagonal matrix and an explicit
@@ -133,32 +179,51 @@ class TestBuildLmmse:
             b, u, clusters = 12, 4, 3
             h = random_complex(rng, b, u)
             t = design_hr_iso(h[:, 0], clusters)
-            f = scipy.linalg.block_diag(
-                *[
-                    np.eye(t.block_size) if v is None else householder_matrix(v)
-                    for v in t.vectors
-                ]
-            )
             c_y = h @ h.conj().T + 0.2 * np.eye(b)
-            gains = compute_agc(c_y, t)
+            gains = compute_agc(diagonal_blocks(c_y, clusters), t)
             quant = design_quantizer(3)
             n0 = 0.2
             eq = build_lmmse(h, t, gains, quant, n0)
-
-            omega = np.diag(gains.omega)
-            inner = (
-                omega @ f @ h @ h.conj().T @ f.conj().T @ omega
-                + n0 * omega @ f @ f.conj().T @ omega
-                + (2.0 * quant.dist_power / quant.gamma**2) * np.eye(b)
-            )
-            dense = (
-                (1.0 / quant.gamma)
-                * h.conj().T
-                @ f.conj().T
-                @ omega
-                @ np.linalg.inv(inner)
-            )
+            dense = dense_lmmse_oracle(h, t, gains, quant, n0)
             assert np.linalg.norm(eq.w - dense) <= 1e-9 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("variant", ["identity", "hr-iso", "hr-max"])
+    @pytest.mark.parametrize("q", [1, 3, 5, 12])
+    def test_push_through_matches_dense_oracle_many_antennas(self, variant, q):
+        # B >> U, the regime the U x U form is for: a strong user 20 dB up,
+        # AGC from the true covariance blocks, against the B x B formula.
+        rng = np.random.default_rng(20 + q)
+        b, u, clusters, n0 = 64, 4, 8, 0.1
+        for _ in range(5):
+            h = random_complex(rng, b, u) / np.sqrt(2.0)
+            h[:, 0] *= 10.0
+            blocks = diagonal_blocks(h @ h.conj().T + n0 * np.eye(b), clusters)
+            if variant == "identity":
+                t = identity_transform(b, clusters)
+            elif variant == "hr-iso":
+                t = design_hr_iso(h[:, 0], clusters)
+            else:
+                t = design_hr_max(blocks)
+            gains = compute_agc(blocks, t)
+            quant = design_quantizer(q)
+            eq = build_lmmse(h, t, gains, quant, n0)
+            dense = dense_lmmse_oracle(h, t, gains, quant, n0)
+            assert eq.w.shape == (u, b)
+            assert np.linalg.norm(eq.w - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    def test_zero_effective_noise_rejected(self):
+        # N0 = 0 with a distortion-free quantizer leaves D = 0 on every ADC,
+        # even for a full-column-rank channel.
+        rng = np.random.default_rng(6)
+        h = random_complex(rng, 8, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="noiseless"):
+            build_lmmse(
+                h,
+                identity_transform(8, 2),
+                AgcGains(np.ones(8)),
+                passthrough_quantizer(),
+                0.0,
+            )
 
     def test_fine_quantization_converges_to_perfect(self):
         rng = np.random.default_rng(2)
@@ -182,11 +247,9 @@ class TestBuildLmmse:
             t = design_hr_iso(h[:, 0], 2)
             n0 = float(rng.uniform(0.05, 1.0))
             c_y = h @ h.conj().T + n0 * np.eye(b)
-            gains = compute_agc(c_y, t)
+            gains = compute_agc(diagonal_blocks(c_y, 2), t)
             quant = design_quantizer(int(rng.integers(1, 6)))
             eq = build_lmmse(h, t, gains, quant, n0)
-
-            from hdrmimo.frontend import apply_transform
 
             a = quant.gamma * gains.omega[:, None] * apply_transform(t, h)
             noise_diag = quant.gamma**2 * n0 * gains.omega**2 + 2.0 * quant.dist_power
@@ -230,12 +293,12 @@ class TestEqualize:
     def test_identity_detector(self):
         rng = np.random.default_rng(4)
         r = random_complex(rng, 5)
-        eq = EqualizerMatrix(w=np.eye(5, dtype=complex), gamma=1.0, dist_power=0.0, n0=0.1)
+        eq = EqualizerMatrix(w=np.eye(5, dtype=complex))
         assert np.allclose(equalize(eq, r), r)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
-        eq = EqualizerMatrix(w=random_complex(rng, 3, 6), gamma=1.0, dist_power=0.0, n0=0.1)
+        eq = EqualizerMatrix(w=random_complex(rng, 3, 6))
         r1, r2 = random_complex(rng, 6), random_complex(rng, 6)
         a = 2.0 - 1.5j
         assert np.allclose(

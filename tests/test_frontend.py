@@ -26,6 +26,13 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def diagonal_blocks(c, clusters):
+    """(C, S, S) stack of the diagonal blocks of a B x B matrix."""
+    s = c.shape[0] // clusters
+    idx = np.arange(clusters)
+    return c.reshape(clusters, s, clusters, s)[idx, :, idx, :]
+
+
 def dense_transform_matrix(transform):
     blocks = [
         np.eye(transform.block_size) if v is None else householder_matrix(v)
@@ -95,7 +102,7 @@ class TestHrIsoDesign:
 
 class TestHrMaxDesign:
     def test_diagonal_block(self):
-        t = design_hr_max(np.diag([4.0, 1.0]).astype(complex), 1)
+        t = design_hr_max(np.diag([4.0, 1.0]).astype(complex)[None])
         # Dominant eigenvector e_1 (up to phase) gives v = 2 e_1 up to phase.
         v = t.vectors[0]
         assert abs(v[1]) < 1e-12
@@ -105,16 +112,16 @@ class TestHrMaxDesign:
         assert np.isclose(isolated, 4.0)
 
     def test_degenerate_spectrum(self):
-        t = design_hr_max(np.eye(4, dtype=complex), 2)
+        t = design_hr_max(diagonal_blocks(np.eye(4, dtype=complex), 2))
         for c, v in enumerate(t.vectors):
             q = np.eye(2) if v is None else householder_matrix(v)
             isolated = np.real(q[:, 0].conj() @ np.eye(2) @ q[:, 0])
             assert np.isclose(isolated, 1.0)
 
     def test_zero_block_falls_back_to_identity(self):
-        c_y = np.zeros((4, 4), dtype=complex)
-        c_y[2:, 2:] = np.eye(2)
-        t = design_hr_max(c_y, 2)
+        blocks = np.zeros((2, 2, 2), dtype=complex)
+        blocks[1] = np.eye(2)
+        t = design_hr_max(blocks)
         assert t.vectors[0] is None
         assert t.vectors[1] is not None
 
@@ -123,7 +130,7 @@ class TestHrMaxDesign:
         for _ in range(50):
             a = random_complex(rng, 6, 6)
             c = a @ a.conj().T
-            t = design_hr_max(c, 1)
+            t = design_hr_max(c[None])
             q = householder_matrix(t.vectors[0])
             isolated = np.real(q[:, 0].conj() @ c @ q[:, 0])
             top = np.linalg.eigvalsh(c)[-1]
@@ -134,7 +141,7 @@ class TestHrMaxDesign:
         for _ in range(20):
             a = random_complex(rng, 5, 5)
             c = a @ a.conj().T
-            t = design_hr_max(c, 1)
+            t = design_hr_max(c[None])
             q = householder_matrix(t.vectors[0])
             best = np.real(q[:, 0].conj() @ c @ q[:, 0])
             w = random_complex(rng, 5, 1000)
@@ -144,6 +151,13 @@ class TestHrMaxDesign:
             z = z - 2.0 * w * (w[0].conj() / norms)  # Q_w e_1 per column
             others = np.real(np.sum(z.conj() * (c @ z), axis=0))
             assert np.all(best >= others - 1e-9 * best)
+
+
+    def test_rejects_wrong_block_shape(self):
+        with pytest.raises(ValueError, match=r"\(C, S, S\).*\(4, 4\)"):
+            design_hr_max(np.eye(4, dtype=complex))  # a dense matrix, not a stack
+        with pytest.raises(ValueError, match=r"\(2, 2, 3\)"):
+            design_hr_max(np.ones((2, 2, 3), dtype=complex))
 
 
 class TestApplyTransform:
@@ -190,7 +204,7 @@ class TestApplyTransform:
         rng = np.random.default_rng(7)
         a = random_complex(rng, 8, 8)
         c = a @ a.conj().T
-        t = design_hr_max(c, 2)
+        t = design_hr_max(diagonal_blocks(c, 2))
         dense = dense_transform_matrix(t)
         assert np.allclose(
             transform_covariance(t, c), dense @ c @ dense.conj().T, atol=1e-10
@@ -309,24 +323,25 @@ class TestBussgang:
 class TestAgc:
     def test_reference_gains(self):
         c = np.diag([2.0, 8.0]).astype(complex)
-        gains = compute_agc(c, identity_transform(2, 1))
+        gains = compute_agc(c[None], identity_transform(2, 1))
         assert np.allclose(gains.omega, [1.0, 0.5])
 
     def test_identity_transform_reduction(self):
         rng = np.random.default_rng(10)
         a = random_complex(rng, 6, 6)
         c = a @ a.conj().T
-        gains = compute_agc(c, identity_transform(6, 3))
+        gains = compute_agc(diagonal_blocks(c, 3), identity_transform(6, 3))
         assert np.allclose(gains.omega, np.sqrt(2.0 / np.diagonal(c).real))
 
     def test_transformed_diagonal(self):
         rng = np.random.default_rng(11)
         a = random_complex(rng, 8, 8)
         c = a @ a.conj().T
-        t = design_hr_max(c, 2)
+        blocks = diagonal_blocks(c, 2)
+        t = design_hr_max(blocks)
         dense = dense_transform_matrix(t)
         expected = np.sqrt(2.0 / np.diagonal(dense @ c @ dense.conj().T).real)
-        assert np.allclose(compute_agc(c, t).omega, expected, atol=1e-10)
+        assert np.allclose(compute_agc(blocks, t).omega, expected, atol=1e-10)
 
     def test_unit_variance_normalization(self):
         # Under the true receive covariance, the AGC output has unit variance
@@ -338,7 +353,7 @@ class TestAgc:
         h = random_complex(rng, b, u)
         c_y = h @ h.conj().T + n0 * np.eye(b)
         t = design_hr_iso(h[:, 0], 2)
-        gains = compute_agc(c_y, t)
+        gains = compute_agc(diagonal_blocks(c_y, 2), t)
         s = modulate(rng.integers(0, 2, size=4 * u * draws)).reshape(draws, u).T
         noise = np.sqrt(n0 / 2) * (
             rng.standard_normal((b, draws)) + 1j * rng.standard_normal((b, draws))
@@ -347,9 +362,19 @@ class TestAgc:
         assert np.allclose(np.var(scaled.real, axis=1), 1.0, rtol=0.02)
         assert np.allclose(np.var(scaled.imag, axis=1), 1.0, rtol=0.02)
 
+    def test_rejects_wrong_block_shape(self):
+        t = identity_transform(4, 2)
+        expected = r"\(C, S, S\) = \(2, 2, 2\).*got shape "
+        with pytest.raises(ValueError, match=expected + r"\(4, 4\)"):
+            compute_agc(np.eye(4, dtype=complex), t)  # dense, not a stack
+        with pytest.raises(ValueError, match=expected + r"\(1, 4, 4\)"):
+            compute_agc(np.eye(4, dtype=complex)[None], t)
+        with pytest.raises(ValueError, match=expected + r"\(4, 1, 1\)"):
+            compute_agc(np.ones((4, 1, 1), dtype=complex), t)
+
     def test_zero_diagonal_floored(self):
         c = np.diag([0.0, 4.0]).astype(complex)
-        gains = compute_agc(c, identity_transform(2, 1))
+        gains = compute_agc(c[None], identity_transform(2, 1))
         assert np.all(np.isfinite(gains.omega))
         assert np.all(gains.omega > 0)
 

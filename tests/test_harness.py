@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,20 @@ def smoke_cfg(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+# Every float key of the config, each with a value that used to get through
+# parsing and fail later inside a trial or in msnr_grid.
+NON_FINITE = [
+    ("rho_db", "nan"),
+    ("dr_limit_db", "nan"),
+    ("angle_sector_deg", "inf"),
+    ("path_decay_db", "nan"),
+    ("shadowing_std_db", "nan"),
+    ("msnr_start", "-inf"),
+    ("msnr_stop", "inf"),
+    ("msnr_step", "nan"),
+]
 
 
 class TestConfig:
@@ -92,6 +108,18 @@ class TestConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             ExperimentConfig(methods=("zf",))
+
+    @pytest.mark.parametrize("key,text", NON_FINITE)
+    def test_non_finite_override_named_in_error(self, key, text):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            parse_config(overrides={key: text})
+
+    @pytest.mark.parametrize("key,text", NON_FINITE)
+    def test_non_finite_file_value_named_in_error(self, tmp_path, key, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            parse_config(str(path))
 
     def test_msnr_grid(self):
         cfg = ExperimentConfig(msnr_start=-10.0, msnr_stop=15.0, msnr_step=2.5)
@@ -158,6 +186,26 @@ class TestRunTrial:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_trial(smoke_cfg(), "zf", 10.0, 0)
+
+    @pytest.mark.parametrize("quantized_training", [False, True])
+    def test_no_antenna_by_antenna_matrix(self, quantized_training):
+        # With B = 512 antennas, 4 users and one symbol every array a trial
+        # needs is O(B U) or per cluster, while a single B x B complex matrix
+        # takes 4 MiB. Peak traced allocation stays below half of that.
+        cfg = smoke_cfg(
+            bs_antennas=512, ues=4, clusters=64, realizations=1, symbols=1,
+            quantized_training=quantized_training,
+        )
+        one_matrix = 512 * 512 * np.dtype(complex).itemsize
+        for method in METHODS:
+            run_trial(cfg, method, 10.0, 0)  # fill the quantizer design cache
+            tracemalloc.start()
+            try:
+                run_trial(cfg, method, 10.0, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < one_matrix / 2, (method, peak)
 
     def test_quantized_training_smoke(self):
         cfg = smoke_cfg(quantized_training=True, realizations=1, symbols=20)

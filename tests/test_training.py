@@ -3,6 +3,7 @@ import pytest
 
 from hdrmimo.channel import NoiseModel, ScenarioConfig, noise_variance_from_msnr, realize_channel
 from hdrmimo.training import (
+    covariance_blocks,
     estimate_from_training,
     generate_pilots,
     ls_channel_estimate,
@@ -14,6 +15,13 @@ from hdrmimo.training import (
 
 def random_channel(rng, b, u):
     return rng.standard_normal((b, u)) + 1j * rng.standard_normal((b, u))
+
+
+def diagonal_blocks(c, clusters):
+    """(C, S, S) stack of the diagonal blocks of a B x B matrix."""
+    s = c.shape[0] // clusters
+    idx = np.arange(clusters)
+    return c.reshape(clusters, s, clusters, s)[idx, :, idx, :]
 
 
 class TestGeneratePilots:
@@ -137,6 +145,33 @@ class TestSampleCovariance:
             sample_covariance(np.ones((2, 2)), k=0)
 
 
+class TestCovarianceBlocks:
+    def test_equals_diagonal_blocks_of_sample_covariance(self):
+        rng = np.random.default_rng(11)
+        for b, clusters, k in ((8, 1, 3), (8, 4, 8), (64, 8, 8), (256, 32, 32)):
+            y = random_channel(rng, b, k)
+            blocks = covariance_blocks(y, clusters)
+            assert blocks.shape == (clusters, b // clusters, b // clusters)
+            full = sample_covariance(y)
+            tol = 1e-13 * np.abs(full).max()
+            assert np.allclose(blocks, diagonal_blocks(full, clusters), rtol=0, atol=tol)
+
+    def test_single_cluster_is_full_covariance(self):
+        y = np.array([[1.0 + 1j, 0.5], [2.0, -1j]])
+        assert np.allclose(covariance_blocks(y, 1)[0], sample_covariance(y))
+
+    def test_hermitian_blocks(self):
+        rng = np.random.default_rng(12)
+        blocks = covariance_blocks(random_channel(rng, 12, 5), 3)
+        assert np.allclose(blocks, blocks.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="divisible"):
+            covariance_blocks(np.ones((6, 2)), 4)
+        with pytest.raises(ValueError, match="snapshot"):
+            covariance_blocks(np.ones((4, 0)), 2)
+
+
 class TestStrongestUeIndex:
     def test_clear_winner(self):
         h = np.diag([5.0, 1.0, 1.0])
@@ -158,7 +193,7 @@ class TestStrongestUeIndex:
             real = realize_channel(cfg, rng)
             noise = noise_variance_from_msnr(real.h, 0.0)
             y = simulate_training(real.h, pilots, noise, rng)
-            est = estimate_from_training(y, pilots)
+            est = estimate_from_training(y, pilots, cfg.clusters)
             hits += est.strong_index == 0
         assert hits / trials >= 0.99
 
@@ -169,8 +204,10 @@ class TestEstimateFromTraining:
         h = random_channel(rng, 8, 4)
         pilots = generate_pilots(4, 8)
         y = simulate_training(h, pilots, NoiseModel(0.1), rng)
-        est = estimate_from_training(y, pilots)
-        assert np.array_equal(est.y_train, y)
+        est = estimate_from_training(y, pilots, 2)
         assert np.array_equal(est.h_hat, ls_channel_estimate(y, pilots))
-        assert np.array_equal(est.c_y_hat, sample_covariance(y))
+        assert np.array_equal(est.c_y_blocks, covariance_blocks(y, 2))
+        c = sample_covariance(y)
+        scale = np.abs(c).max()
+        assert np.allclose(est.c_y_blocks, diagonal_blocks(c, 2), rtol=0, atol=1e-13 * scale)
         assert np.array_equal(est.h_strong, est.h_hat[:, est.strong_index])
