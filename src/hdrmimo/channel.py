@@ -88,7 +88,6 @@ class ChannelRealization:
     g: np.ndarray  # (B, U) propagation channel
     gains: np.ndarray  # (U,) power-control amplitudes d_u
     h: np.ndarray  # (B, U) effective channel, columns sorted by norm
-    strongest_index: int
 
 
 @dataclass(frozen=True)
@@ -205,9 +204,7 @@ def realize_channel(
         gains[strong] = set_strong_ue_gain(g[:, strong], weakest, cfg.rho_db)
     h = g * gains[None, :]
     order = np.argsort(-np.sum(np.abs(h) ** 2, axis=0), kind="stable")
-    return ChannelRealization(
-        g=g[:, order], gains=gains[order], h=h[:, order], strongest_index=0
-    )
+    return ChannelRealization(g=g[:, order], gains=gains[order], h=h[:, order])
 
 
 def noise_variance_from_msnr(h: np.ndarray, msnr_db: float) -> NoiseModel:

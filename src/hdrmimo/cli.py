@@ -3,12 +3,50 @@
 from __future__ import annotations
 
 import argparse
-from typing import Optional, Sequence
+from dataclasses import fields
+from typing import Optional, Sequence, get_type_hints
 
-from .harness import emit_plot_script, parse_config, run_sweep, write_csv
+from .harness import (
+    ExperimentConfig,
+    emit_plot_script,
+    parse_config,
+    run_sweep,
+    write_csv,
+)
+
+
+# Flag help per ExperimentConfig field; every field gets a flag.
+_HELP = {
+    "bs_antennas": "basestation antenna count",
+    "ues": "number of single-antenna users",
+    "clusters": "number of antenna clusters",
+    "q_bits": "ADC resolution in bits",
+    "rho_db": "strong-user dynamic range [dB]",
+    "dr_limit_db": "receive-power window of the power-controlled users [dB]",
+    "paths": "propagation paths per user",
+    "angle_sector_deg": "path angles are uniform in +- this [deg]",
+    "path_decay_db": "power decay per successive path [dB]",
+    "shadowing_std_db": "log-normal shadowing spread (median 1) [dB]",
+    "methods": "comma list from: perfect, wsu, none, hr-iso, hr-max",
+    "msnr_start": "first MSNR point [dB]",
+    "msnr_stop": "last MSNR point [dB]",
+    "msnr_step": "MSNR grid step [dB]",
+    "realizations": "channel realizations per MSNR point",
+    "symbols": "symbol vectors per channel realization",
+    "seed": "master seed for all substreams",
+    "out": "output CSV path",
+    "plot_script": "also emit a gnuplot script here",
+    "threads": "worker threads for the sweep",
+    "quantized_training": "pass the training block through the q-bit ADCs",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per ExperimentConfig field: ``--rho-db`` sets ``rho_db``.
+
+    Values stay text here; ``parse_config`` converts and validates them
+    exactly as it does config-file values.
+    """
     p = argparse.ArgumentParser(
         prog="hdrmimo",
         description=(
@@ -17,43 +55,38 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--rho-db", type=float, help="strong-user dynamic range [dB]")
-    p.add_argument("--q-bits", type=int, help="ADC resolution in bits")
-    p.add_argument("--clusters", type=int, help="number of antenna clusters")
-    p.add_argument("--bs-antennas", type=int, help="basestation antenna count")
-    p.add_argument("--ues", type=int, help="number of single-antenna users")
-    p.add_argument("--msnr-start", type=float, help="first MSNR point [dB]")
-    p.add_argument("--msnr-stop", type=float, help="last MSNR point [dB]")
-    p.add_argument("--msnr-step", type=float, help="MSNR grid step [dB]")
-    p.add_argument(
-        "--methods",
-        help="comma list from: perfect, wsu, none, hr-iso, hr-max",
-    )
-    p.add_argument(
-        "--realizations", type=int, help="channel realizations per MSNR point"
-    )
-    p.add_argument(
-        "--symbols", type=int, help="symbol vectors per channel realization"
-    )
-    p.add_argument("--seed", type=int, help="master seed for all substreams")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--plot-script", help="also emit a gnuplot script here")
-    p.add_argument("--threads", type=int, help="worker threads for the sweep")
+    hints = get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if hints[f.name] is bool:
+            p.add_argument(
+                flag, action=argparse.BooleanOptionalAction, help=_HELP[f.name]
+            )
+        else:
+            p.add_argument(flag, help=_HELP[f.name])
     return p
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def config_from_argv(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
+    """The validated config for a command line; flags override ``--config``.
+
+    A bad value exits with a usage error that names the key.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
     overrides = {
         key: value
         for key, value in vars(args).items()
         if key != "config" and value is not None
     }
     try:
-        cfg = parse_config(args.config, overrides)
+        return parse_config(args.config, overrides)
     except (ValueError, OSError) as exc:
-        build_parser().error(str(exc))
-        return 2  # unreachable; error() exits
+        parser.error(str(exc))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    cfg = config_from_argv(argv)
     records = run_sweep(cfg)
     write_csv(records, cfg.out)
     if cfg.plot_script:

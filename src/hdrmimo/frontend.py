@@ -4,13 +4,13 @@ AGC gains, the uniform midrise quantizer, and its Bussgang linearization."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
-from .linalg import complex_sign, dominant_eigenpair, householder_apply
+from .linalg import HERMITIAN_RTOL
 
 IDENTITY = "identity"
 HR_ISO = "hr-iso"
@@ -21,29 +21,55 @@ HR_MAX = "hr-max"
 class SpatialTransform:
     """Block-diagonal spatial transform with one reflector per antenna cluster.
 
-    ``vectors`` holds one Householder normal vector per cluster; ``None``
-    marks a passthrough (identity) cluster. Every block is unitary, so the
-    transform preserves vector norms.
+    ``vectors`` is a (C, S) complex array whose row c is the Householder
+    normal of cluster c; an all-zero row marks a passthrough (identity)
+    cluster. Every block is unitary, so the transform preserves vector
+    norms. The array is copied and made read-only on construction.
     """
 
     variant: str
-    block_size: int
-    vectors: tuple
+    vectors: np.ndarray
+    # Rows that reflect (a slice when all do) and their 2 / ||v||^2.
+    _rows: slice | np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ValueError("cluster block size must be >= 1")
-        for v in self.vectors:
-            if v is not None and not np.any(v):
-                raise ValueError("stored cluster vectors must be nonzero")
+        vectors = np.array(self.vectors, dtype=complex)
+        if vectors.ndim != 2 or 0 in vectors.shape:
+            raise ValueError(
+                f"reflector normals must form a nonempty (C, S) array, got "
+                f"shape {vectors.shape}"
+            )
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("reflector normals must be finite")
+        nrm2 = np.sum(vectors.real**2 + vectors.imag**2, axis=1)
+        active = np.any(vectors != 0, axis=1)
+        if not np.all(np.isfinite(nrm2[active]) & (nrm2[active] > 0)):
+            raise ValueError(
+                "a nonzero reflector normal has a squared norm outside the "
+                "floating-point range"
+            )
+        vectors.flags.writeable = False
+        rows = slice(None) if active.all() else np.flatnonzero(active)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_weights", 2.0 / nrm2[rows])
 
     @property
     def clusters(self) -> int:
-        return len(self.vectors)
+        return self.vectors.shape[0]
+
+    @property
+    def block_size(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.block_size * len(self.vectors)
+        return self.vectors.size
+
+    @property
+    def is_identity(self) -> bool:
+        return self._weights.size == 0
 
 
 @dataclass(frozen=True)
@@ -75,10 +101,18 @@ class AgcGains:
             raise ValueError("AGC gains must be positive and finite")
 
 
+@functools.lru_cache(maxsize=None)
 def identity_transform(dim: int, clusters: int) -> SpatialTransform:
+    # Cached: a transform is immutable (frozen, read-only array).
     if dim % clusters != 0:
         raise ValueError(f"dimension {dim} not divisible by {clusters} clusters")
-    return SpatialTransform(IDENTITY, dim // clusters, (None,) * clusters)
+    return SpatialTransform(IDENTITY, np.zeros((clusters, dim // clusters), complex))
+
+
+def _unit_phase(a: np.ndarray) -> np.ndarray:
+    # Elementwise complex sign a/|a|, with sign(0) = 1.
+    mag = np.abs(a)
+    return np.divide(a, mag, out=np.ones_like(a), where=mag > 0)
 
 
 def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
@@ -92,54 +126,67 @@ def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
     b = h_strong.shape[0]
     if b % clusters != 0:
         raise ValueError(f"dimension {b} not divisible by {clusters} clusters")
-    s = b // clusters
-    vectors = []
-    for c in range(clusters):
-        a = h_strong[c * s : (c + 1) * s]
-        nrm = float(np.linalg.norm(a))
-        if nrm == 0.0:
-            vectors.append(None)
-            continue
-        v = a.copy()
-        v[0] += nrm * complex_sign(a[0])
-        vectors.append(v)
-    return SpatialTransform(HR_ISO, s, tuple(vectors))
+    v = h_strong.reshape(clusters, b // clusters).copy()
+    nrm = np.linalg.norm(v, axis=1)
+    v[:, 0] += nrm * _unit_phase(v[:, 0])
+    v[nrm == 0.0] = 0.0
+    return SpatialTransform(HR_ISO, v)
 
 
 def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
     """Per-cluster reflectors that focus the dominant receive direction.
 
     ``c_blocks`` is the (C, S, S) stack of diagonal receive-covariance
-    blocks, one per cluster. Each cluster computes its block's dominant
-    eigenvector l_1 and reflects with v = l_1 + sign([l_1]_1) e_1. A zero
-    block falls back to identity.
+    blocks, one per cluster. One batched Hermitian eigendecomposition gives
+    each block's dominant eigenvector l_1, and the cluster reflects with
+    v = l_1 + sign([l_1]_1) e_1. Each eigenpair must meet the residual
+    bound ``||C l - lambda l|| <= tol * max(lambda, trace(C)/S)``, else
+    RuntimeError. A zero block, or one whose top eigenvalue is not
+    positive, falls back to identity.
     """
-    c_blocks = np.asarray(c_blocks, dtype=complex)
-    if c_blocks.ndim != 3 or c_blocks.shape[1] != c_blocks.shape[2]:
+    c = np.asarray(c_blocks, dtype=complex)
+    if c.ndim != 3 or c.shape[1] != c.shape[2]:
         raise ValueError(
             f"hr-max design needs a (C, S, S) stack of covariance blocks, "
-            f"got shape {c_blocks.shape}"
+            f"got shape {c.shape}"
         )
-    vectors = []
-    for block in c_blocks:
-        if not np.any(block):
-            vectors.append(None)
-            continue
-        value, vec = dominant_eigenpair(block, tol)
-        if value <= 0.0:
-            vectors.append(None)
-            continue
-        v = vec.astype(complex).copy()
-        v[0] += complex_sign(vec[0])
-        vectors.append(v)
-    return SpatialTransform(HR_MAX, c_blocks.shape[1], tuple(vectors))
+    scale = np.linalg.norm(c, axis=(1, 2))
+    skew = np.linalg.norm(c - c.conj().transpose(0, 2, 1), axis=(1, 2))
+    bad = np.flatnonzero(skew > HERMITIAN_RTOL * np.maximum(scale, 1.0))
+    if bad.size:
+        raise ValueError(
+            f"covariance block {bad[0]} is not Hermitian within tolerance"
+        )
+    try:
+        values, vectors = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    top = np.maximum(values[:, -1], 0.0)
+    lead = vectors[:, :, -1]
+    residual = np.linalg.norm(
+        (c @ lead[:, :, None])[:, :, 0] - top[:, None] * lead, axis=1
+    )
+    bound = tol * np.maximum(top, np.trace(c, axis1=1, axis2=2).real / c.shape[1])
+    bad = np.flatnonzero(residual > bound)
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"dominant eigenpair residual {residual[k]:.3e} of block {k} "
+            f"exceeds bound {bound[k]:.3e}; value={top[k]!r}"
+        )
+    v = lead.copy()
+    v[:, 0] += _unit_phase(lead[:, 0])
+    v[(top <= 0.0) | ~np.any(c, axis=(1, 2))] = 0.0
+    return SpatialTransform(HR_MAX, v)
 
 
 def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     """Apply the block-diagonal transform to a vector or to matrix columns.
 
-    Each cluster's output depends only on that cluster's input, via one
-    rank-1 reflection per cluster; the dense matrix is never formed.
+    Each cluster's output depends only on that cluster's input: all
+    clusters are reflected at once by the batched rank-1 update
+    x - (2/||v||^2) v (v^H x) on the (C, S, n) view of ``y``; the dense
+    matrix is never formed, and passthrough clusters are not touched.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape[0] != transform.dim:
@@ -147,12 +194,21 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
             f"input dimension {y.shape[0]} does not match transform dimension "
             f"{transform.dim}"
         )
+    if transform.is_identity:
+        return y.copy()
+    rows, w = transform._rows, transform._weights
+    v = transform.vectors[rows]
+    shape = (transform.clusters, transform.block_size, -1)
+    x = y.reshape(shape)[rows]
+    coef = v.conj()[:, None, :] @ x
+    coef *= w[:, None, None]
+    # One output-sized buffer: the update, then x minus it in place.
+    reflected = v[:, :, None] * coef
+    np.subtract(x, reflected, out=reflected)
+    if len(w) == transform.clusters:
+        return reflected.reshape(y.shape)
     out = y.copy()
-    s = transform.block_size
-    for c, v in enumerate(transform.vectors):
-        if v is None:
-            continue
-        out[c * s : (c + 1) * s] = householder_apply(v, out[c * s : (c + 1) * s])
+    out.reshape(shape)[rows] = reflected
     return out
 
 
@@ -173,13 +229,36 @@ def midrise(x: np.ndarray, delta: float, q: int) -> np.ndarray:
 
     Inputs with |x| < delta * 2^(q-1) map to delta*floor(x/delta) + delta/2;
     anything at or beyond that threshold saturates to +-(delta/2)(2^q - 1).
-    The output alphabet has exactly 2^q levels per real dimension.
+    The output alphabet has exactly 2^q levels per real dimension. NaN
+    stays NaN.
+
+    Evaluated as a table lookup: the cell index floor(x/delta) is clipped
+    to -2^(q-1)..2^(q-1), where the top index stands for positive
+    saturation. The lowest cell's level delta*(-2^(q-1)) + delta/2 is the
+    negative saturation level in floating point too, because
+    delta*2^(q-1) is exact.
     """
     x = np.asarray(x, dtype=float)
-    threshold = delta * 2 ** (q - 1)
-    granular = delta * np.floor(x / delta) + delta / 2.0
-    saturated = np.sign(x) * (delta / 2.0) * (2**q - 1)
-    return np.where(np.abs(x) < threshold, granular, saturated)
+    half = 2 ** (q - 1)
+    levels = np.append(
+        delta * np.arange(-half, half) + delta / 2.0, (delta / 2.0) * (2**q - 1)
+    )
+    k = np.divide(x, delta, out=np.empty_like(x))
+    np.floor(k, out=k)
+    np.clip(k, -half, half, out=k)
+    # After clipping only NaN is non-finite, so one sum detects it without
+    # an input-sized mask.
+    has_nan = bool(np.isnan(k.sum()))
+    if has_nan:
+        nan = np.isnan(k)
+        k[nan] = 0.0
+    k += half
+    # The levels overwrite the cell indices; indices are in range, so 'clip'
+    # mode skips the bounds check and the buffer it needs.
+    out = np.take(levels, k.astype(np.intp), out=k, mode="clip")
+    if has_nan:
+        out[nan] = np.nan
+    return out
 
 
 def _gaussian_cell_moments(q: int, delta: float):
@@ -252,10 +331,14 @@ def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:
 
     The diagonal of F C_y F^H depends only on the diagonal blocks of C_y,
     so ``c_blocks`` is the (C, S, S) stack of those blocks, one per
-    cluster; each is conjugated by its reflector via rank-1 applications.
-    Diagonal entries are floored at a small fraction of the average power
-    before inversion so numerically dead dimensions cannot produce infinite
-    gains.
+    cluster. For a reflector H = I - w v v^H with w = 2/||v||^2 and
+    p = C v, the diagonal of H C H is, entrywise,
+
+        C_ss - 2w Re(v_s conj(p_s)) + w^2 |v_s|^2 Re(v^H p),
+
+    evaluated for all clusters at once. Diagonal entries are floored at a
+    small fraction of the average power before inversion so numerically
+    dead dimensions cannot produce infinite gains.
     """
     c_blocks = np.asarray(c_blocks, dtype=complex)
     s = transform.block_size
@@ -264,14 +347,18 @@ def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:
             f"AGC needs a (C, S, S) = ({transform.clusters}, {s}, {s}) stack of "
             f"covariance blocks for this transform, got shape {c_blocks.shape}"
         )
-    b = transform.dim
-    diag = np.empty(b)
-    for c, (v, block) in enumerate(zip(transform.vectors, c_blocks)):
-        if v is not None:
-            block = householder_apply(v, block)
-            block = householder_apply(v, block.conj().T).conj().T
-        diag[c * s : (c + 1) * s] = np.real(np.diagonal(block))
-    floor = 1e-12 * diag.sum() / b
+    diag = np.diagonal(c_blocks, axis1=1, axis2=2).real.copy()
+    if not transform.is_identity:
+        rows, w = transform._rows, transform._weights
+        v = transform.vectors[rows]
+        p = (c_blocks[rows] @ v[:, :, None])[:, :, 0]
+        vhp = np.sum(v.conj() * p, axis=1).real
+        diag[rows] += (
+            (w**2 * vhp)[:, None] * (v.real**2 + v.imag**2)
+            - 2.0 * w[:, None] * (v * p.conj()).real
+        )
+    diag = diag.reshape(-1)
+    floor = 1e-12 * diag.sum() / diag.size
     if floor <= 0.0:
         floor = np.finfo(float).tiny
     return AgcGains(np.sqrt(2.0 / np.maximum(diag, floor)))
@@ -282,7 +369,9 @@ def adc(
 ) -> np.ndarray:
     """AGC scaling followed by midrise quantization of both real dimensions.
 
-    Accepts a length-B vector or a (B, n) block of receive vectors.
+    Accepts a length-B vector or a (B, n) block of receive vectors. The
+    real and imaginary parts are quantized in one pass over the
+    interleaved float view of the scaled samples.
     """
     y_tilde = np.asarray(y_tilde, dtype=complex)
     omega = gains.omega
@@ -292,6 +381,4 @@ def adc(
             f"{omega.shape[0]}"
         )
     scaled = y_tilde * (omega if y_tilde.ndim == 1 else omega[:, None])
-    return midrise(scaled.real, quant.delta, quant.q) + 1j * midrise(
-        scaled.imag, quant.delta, quant.q
-    )
+    return midrise(scaled.view(float), quant.delta, quant.q).view(complex)

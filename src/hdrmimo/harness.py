@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class ExperimentConfig:
     angle_sector_deg: float = 60.0
     path_decay_db: float = 5.0
     shadowing_std_db: float = 8.0
-    methods: tuple = METHODS
+    methods: tuple[str, ...] = METHODS
     msnr_start: float = -10.0
     msnr_stop: float = 15.0
     msnr_step: float = 2.5
@@ -367,48 +367,44 @@ def emit_plot_script(
         fh.write(script + "\n")
 
 
+def _parse_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _parse_list(value) -> tuple:
+    if isinstance(value, str):
+        return tuple(m.strip() for m in value.split(",") if m.strip())
+    return tuple(value)
+
+
+def _parser_for(annotation):
+    # Text-to-value parser for one ExperimentConfig field; Optional[X]
+    # parses as X and a tuple field as a comma list.
+    if annotation is bool:
+        return _parse_bool
+    if get_origin(annotation) is tuple:
+        return _parse_list
+    inner = [a for a in get_args(annotation) if a is not type(None)]
+    return _parser_for(inner[0]) if inner else annotation
+
+
+# Key -> parser for every ExperimentConfig field, read off the dataclass.
 _CONFIG_SCHEMA = {
-    "bs_antennas": int,
-    "ues": int,
-    "clusters": int,
-    "q_bits": int,
-    "rho_db": float,
-    "dr_limit_db": float,
-    "paths": int,
-    "angle_sector_deg": float,
-    "path_decay_db": float,
-    "shadowing_std_db": float,
-    "methods": "methods",
-    "msnr_start": float,
-    "msnr_stop": float,
-    "msnr_step": float,
-    "realizations": int,
-    "symbols": int,
-    "seed": int,
-    "out": str,
-    "plot_script": str,
-    "threads": int,
-    "quantized_training": "bool",
+    name: _parser_for(annotation)
+    for name, annotation in get_type_hints(ExperimentConfig).items()
 }
 
 
 def _convert(key: str, value):
-    kind = _CONFIG_SCHEMA[key]
     try:
-        if kind == "methods":
-            if isinstance(value, str):
-                value = tuple(m.strip() for m in value.split(",") if m.strip())
-            return tuple(value)
-        if kind == "bool":
-            if isinstance(value, bool):
-                return value
-            text = str(value).strip().lower()
-            if text in ("1", "true", "yes", "on"):
-                return True
-            if text in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        return kind(value)
+        return _CONFIG_SCHEMA[key](value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad value for key '{key}': {exc}") from exc
 

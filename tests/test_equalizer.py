@@ -41,7 +41,7 @@ def diagonal_blocks(c, clusters):
 def dense_transform_matrix(transform):
     return scipy.linalg.block_diag(
         *[
-            np.eye(transform.block_size) if v is None else householder_matrix(v)
+            householder_matrix(v) if np.any(v) else np.eye(transform.block_size)
             for v in transform.vectors
         ]
     )

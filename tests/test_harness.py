@@ -1,8 +1,12 @@
+import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from hdrmimo import linalg
+from hdrmimo.cli import build_parser, config_from_argv
 from hdrmimo.cli import main as cli_main
 from hdrmimo.harness import (
     CSV_HEADER,
@@ -47,6 +51,17 @@ NON_FINITE = [
     ("msnr_start", "-inf"),
     ("msnr_stop", "inf"),
     ("msnr_step", "nan"),
+]
+
+# The config keys that had no command-line flag: (key, flags, config-file
+# text, parsed value). Each value differs from the default.
+NEW_FLAG_CASES = [
+    ("dr_limit_db", ["--dr-limit-db", "3"], "3", 3.0),
+    ("paths", ["--paths", "2"], "2", 2),
+    ("angle_sector_deg", ["--angle-sector-deg", "20.5"], "20.5", 20.5),
+    ("path_decay_db", ["--path-decay-db", "1.5"], "1.5", 1.5),
+    ("shadowing_std_db", ["--shadowing-std-db", "0"], "0", 0.0),
+    ("quantized_training", ["--quantized-training"], "yes", True),
 ]
 
 
@@ -207,6 +222,32 @@ class TestRunTrial:
                 tracemalloc.stop()
             assert peak < one_matrix / 2, (method, peak)
 
+    def test_no_per_cluster_primitives_in_a_trial(self, monkeypatch):
+        # Reflector design, application and AGC work on whole (C, S) arrays;
+        # the per-cluster primitives stay as API and test oracles only.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial called a per-cluster primitive")
+
+        patched = 0
+        modules = [
+            m for key, m in list(sys.modules.items())
+            if key == "hdrmimo" or key.startswith("hdrmimo.")
+        ]
+        for name in ("householder_apply", "dominant_eigenpair"):
+            original = getattr(linalg, name)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+                        patched += 1
+        assert patched >= 4  # hdrmimo.linalg and the package namespace
+        cfg = smoke_cfg(
+            bs_antennas=256, ues=32, clusters=32, realizations=1, symbols=20
+        )
+        for method in ("hr-iso", "hr-max"):
+            errors, bits = run_trial(cfg, method, 10.0, 0)
+            assert 0 <= errors <= bits == 20 * 4 * cfg.ues
+
     def test_quantized_training_smoke(self):
         cfg = smoke_cfg(quantized_training=True, realizations=1, symbols=20)
         errors, bits = run_trial(cfg, "hr-iso", 10.0, 0)
@@ -345,6 +386,45 @@ class TestCli:
         )
         assert rc == 0
         assert read_csv(str(out))[0].q == 5
+
+    def test_every_config_key_has_a_flag(self):
+        skip = ("help", "config")
+        flags = {a.dest for a in build_parser()._actions if a.dest not in skip}
+        assert flags == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("key,flag_args,file_value,expected", NEW_FLAG_CASES)
+    def test_key_set_by_flag_and_by_file(
+        self, tmp_path, key, flag_args, file_value, expected
+    ):
+        assert getattr(config_from_argv(flag_args), key) == expected
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {file_value}\n")
+        assert getattr(parse_config(str(path)), key) == expected
+        assert getattr(config_from_argv(["--config", str(path)]), key) == expected
+
+    def test_negated_switch_overrides_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("quantized_training = yes\n")
+        argv = ["--config", str(path), "--no-quantized-training"]
+        assert config_from_argv(argv).quantized_training is False
+
+    @pytest.mark.parametrize("flag_args", [case[1] for case in NEW_FLAG_CASES])
+    def test_new_flags_reach_the_trials(self, tmp_path, flag_args):
+        # The value reaches the trials: the CSV differs from a default run.
+        base = [
+            "--bs-antennas", "16", "--ues", "4", "--clusters", "4",
+            "--msnr-start", "0", "--msnr-stop", "0", "--msnr-step", "1",
+            "--methods", "hr-iso", "--realizations", "2", "--symbols", "50",
+        ]
+        default_out, flag_out = tmp_path / "default.csv", tmp_path / "flag.csv"
+        assert cli_main(base + ["--out", str(default_out)]) == 0
+        assert cli_main(base + flag_args + ["--out", str(flag_out)]) == 0
+        assert flag_out.read_text() != default_out.read_text()
+
+    def test_bad_scenario_flag_value_names_the_key(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["--paths", "two"])
+        assert "paths" in capsys.readouterr().err
 
     def test_bad_flag_value_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit):
