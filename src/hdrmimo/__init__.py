@@ -17,7 +17,6 @@ from .channel import (
     realize_channel,
 )
 from .equalizer import (
-    EqualizerMatrix,
     build_lmmse,
     build_unquantized_lmmse,
     count_bit_errors,

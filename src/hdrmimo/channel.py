@@ -76,16 +76,16 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One channel draw: propagation matrix, control gains, effective channel.
+    """One channel draw: power-control gains and the effective channel.
 
-    Columns of ``h = g * diag(gains)`` are sorted by descending norm, so the
-    strongest user is always column 0. Users clipped by the power-control
-    window have equal norms in exact arithmetic, so floating-point rounding
-    sets their relative column order, and that order can differ between
-    machines (numpy picks its SIMD kernels per CPU).
+    ``h = g * diag(gains)`` for the propagation channel ``g``, with columns
+    (and gains) sorted by descending norm, so the strongest user is always
+    column 0. Users clipped by the power-control window have equal norms in
+    exact arithmetic, so floating-point rounding sets their relative column
+    order, and that order can differ between machines (numpy picks its SIMD
+    kernels per CPU).
     """
 
-    g: np.ndarray  # (B, U) propagation channel
     gains: np.ndarray  # (U,) power-control amplitudes d_u
     h: np.ndarray  # (B, U) effective channel, columns sorted by norm
 
@@ -101,9 +101,15 @@ class NoiseModel:
             raise ValueError(f"noise variance must be nonnegative, got {self.n0}")
 
 
-def steering_vector(theta_rad: float, n: int) -> np.ndarray:
-    """Half-wavelength ULA steering vector [1, e^{j pi sin t}, ...]."""
-    return np.exp(1j * np.pi * np.arange(n) * np.sin(theta_rad))
+def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
+    """Half-wavelength ULA steering vectors [1, e^{j pi sin t}, ...].
+
+    ``theta_rad`` is one angle or an array of angles; the result has shape
+    ``(n,) + shape(theta_rad)``, antenna index first.
+    """
+    sin = np.sin(theta_rad)
+    antenna = np.arange(n).reshape((n,) + (1,) * np.ndim(sin))
+    return np.exp(1j * np.pi * antenna * sin)
 
 
 def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -132,9 +138,7 @@ def generate_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarra
     shadow_db = rng.normal(0.0, cfg.shadowing_std_db, size=u)
     beta = 10.0 ** (shadow_db / 10.0)
 
-    steer = np.exp(
-        1j * np.pi * np.arange(b)[:, None, None] * np.sin(theta)[None, :, :]
-    )
+    steer = steering_vector(theta, b)  # (B, paths, U)
     g = (steer * alpha[None, :, :]).sum(axis=1) / np.sqrt(npaths)
     return g * np.sqrt(beta)[None, :]
 
@@ -204,7 +208,7 @@ def realize_channel(
         gains[strong] = set_strong_ue_gain(g[:, strong], weakest, cfg.rho_db)
     h = g * gains[None, :]
     order = np.argsort(-np.sum(np.abs(h) ** 2, axis=0), kind="stable")
-    return ChannelRealization(g=g[:, order], gains=gains[order], h=h[:, order])
+    return ChannelRealization(gains=gains[order], h=h[:, order])
 
 
 def noise_variance_from_msnr(h: np.ndarray, msnr_db: float) -> NoiseModel:

@@ -3,8 +3,6 @@ bit-error accounting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .frontend import AgcGains, QuantizerModel, SpatialTransform, apply_transform
@@ -17,13 +15,6 @@ from .linalg import posdef_inverse_apply
 QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 _PAIR_TO_LEVEL = np.array([0, 1, 3, 2])  # indexed by 2*b0 + b1
 _LEVEL_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
-
-
-@dataclass(frozen=True)
-class EqualizerMatrix:
-    """Linear detector W, applied as s_hat = W r."""
-
-    w: np.ndarray  # (U, B)
 
 
 def modulate(bits: np.ndarray) -> np.ndarray:
@@ -68,8 +59,8 @@ def build_lmmse(
     gains: AgcGains,
     quant: QuantizerModel,
     n0: float,
-) -> EqualizerMatrix:
-    """Linearized-model LMMSE detector for the quantized receive chain.
+) -> np.ndarray:
+    """Linearized-model LMMSE detector W (U x B) for the quantized receive chain.
 
     With M = O F Hh (O the AGC gains, F the spatial transform) and the
     diagonal effective noise D = N0 O^2 + (2 D_q / gamma^2) I (F is unitary,
@@ -100,11 +91,11 @@ def build_lmmse(
     g = a.conj().T @ a
     np.fill_diagonal(g, np.diagonal(g).real + 1.0)
     x = posdef_inverse_apply(g, a.conj().T * d_isqrt[None, :])
-    return EqualizerMatrix(w=x / quant.gamma)
+    return x / quant.gamma
 
 
-def build_unquantized_lmmse(h_hat: np.ndarray, n0: float) -> EqualizerMatrix:
-    """Classical LMMSE detector on raw observations, in its U x U form.
+def build_unquantized_lmmse(h_hat: np.ndarray, n0: float) -> np.ndarray:
+    """Classical LMMSE detector W (U x B) on raw observations, in its U x U form.
 
     W = Hh^H (Hh Hh^H + N0 I_B)^{-1} = (Hh^H Hh + N0 I_U)^{-1} Hh^H, so only
     a U x U Hermitian system is factored. With N0 = 0 this is the
@@ -113,9 +104,10 @@ def build_unquantized_lmmse(h_hat: np.ndarray, n0: float) -> EqualizerMatrix:
     h_hat = np.asarray(h_hat, dtype=complex)
     gram = h_hat.conj().T @ h_hat
     np.fill_diagonal(gram, np.diagonal(gram).real + n0)
-    return EqualizerMatrix(w=posdef_inverse_apply(gram, h_hat.conj().T))
+    return posdef_inverse_apply(gram, h_hat.conj().T)
 
 
-def equalize(eq: EqualizerMatrix, r: np.ndarray) -> np.ndarray:
-    """Symbol estimates W @ r; r may be a vector or a (B, n) block."""
-    return eq.w @ np.asarray(r, dtype=complex)
+def equalize(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Symbol estimates W @ r for a (U, B) detector W; r may be a vector or
+    a (B, n) block."""
+    return w @ np.asarray(r, dtype=complex)

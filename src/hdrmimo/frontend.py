@@ -12,10 +12,6 @@ from scipy.special import ndtr
 
 from .linalg import HERMITIAN_RTOL
 
-IDENTITY = "identity"
-HR_ISO = "hr-iso"
-HR_MAX = "hr-max"
-
 
 @dataclass(frozen=True)
 class SpatialTransform:
@@ -27,7 +23,6 @@ class SpatialTransform:
     norms. The array is copied and made read-only on construction.
     """
 
-    variant: str
     vectors: np.ndarray
     # Rows that reflect (a slice when all do) and their 2 / ||v||^2.
     _rows: slice | np.ndarray = field(init=False, repr=False, compare=False)
@@ -106,7 +101,7 @@ def identity_transform(dim: int, clusters: int) -> SpatialTransform:
     # Cached: a transform is immutable (frozen, read-only array).
     if dim % clusters != 0:
         raise ValueError(f"dimension {dim} not divisible by {clusters} clusters")
-    return SpatialTransform(IDENTITY, np.zeros((clusters, dim // clusters), complex))
+    return SpatialTransform(np.zeros((clusters, dim // clusters), complex))
 
 
 def _unit_phase(a: np.ndarray) -> np.ndarray:
@@ -130,7 +125,7 @@ def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
     nrm = np.linalg.norm(v, axis=1)
     v[:, 0] += nrm * _unit_phase(v[:, 0])
     v[nrm == 0.0] = 0.0
-    return SpatialTransform(HR_ISO, v)
+    return SpatialTransform(v)
 
 
 def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
@@ -177,7 +172,7 @@ def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
     v = lead.copy()
     v[:, 0] += _unit_phase(lead[:, 0])
     v[(top <= 0.0) | ~np.any(c, axis=(1, 2))] = 0.0
-    return SpatialTransform(HR_MAX, v)
+    return SpatialTransform(v)
 
 
 def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
@@ -212,12 +207,6 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def transform_covariance(transform: SpatialTransform, cov: np.ndarray) -> np.ndarray:
-    """Conjugate a covariance by the transform: F C F^H, per-cluster rank-1."""
-    half = apply_transform(transform, np.asarray(cov, dtype=complex))
-    return apply_transform(transform, half.conj().T).conj().T
-
-
 def _cell_edges(q: int, delta: float) -> np.ndarray:
     # Nonnegative cell edges 0, delta, ..., delta*2^(q-1); the last edge is
     # the saturation threshold.
@@ -227,25 +216,24 @@ def _cell_edges(q: int, delta: float) -> np.ndarray:
 def midrise(x: np.ndarray, delta: float, q: int) -> np.ndarray:
     """Uniform midrise quantizer with saturation, applied elementwise.
 
-    Inputs with |x| < delta * 2^(q-1) map to delta*floor(x/delta) + delta/2;
-    anything at or beyond that threshold saturates to +-(delta/2)(2^q - 1).
-    The output alphabet has exactly 2^q levels per real dimension. NaN
-    stays NaN.
+    Inputs with |x| < delta * 2^(q-1) map to the midpoint
+    delta*(floor(x/delta) + 1/2) of their cell; anything at or beyond that
+    threshold saturates to +-(delta/2)(2^q - 1), the level of the outermost
+    cell. The output alphabet has exactly 2^q levels per real dimension and
+    is odd-symmetric. NaN stays NaN.
 
     Evaluated as a table lookup: the cell index floor(x/delta) is clipped
-    to -2^(q-1)..2^(q-1), where the top index stands for positive
-    saturation. The lowest cell's level delta*(-2^(q-1)) + delta/2 is the
-    negative saturation level in floating point too, because
-    delta*2^(q-1) is exact.
+    to -2^(q-1)..2^(q-1)-1. Level k is computed as (delta/2)(2k + 1), one
+    rounding of its exact value, so the outermost cells give the saturation
+    levels bit for bit (delta*k + delta/2 rounds twice and can miss the top
+    one by an ulp, a (2^q + 1)-th level).
     """
     x = np.asarray(x, dtype=float)
     half = 2 ** (q - 1)
-    levels = np.append(
-        delta * np.arange(-half, half) + delta / 2.0, (delta / 2.0) * (2**q - 1)
-    )
+    levels = (delta / 2.0) * (2.0 * np.arange(-half, half) + 1.0)
     k = np.divide(x, delta, out=np.empty_like(x))
     np.floor(k, out=k)
-    np.clip(k, -half, half, out=k)
+    np.clip(k, -half, half - 1, out=k)
     # After clipping only NaN is non-finite, so one sum detects it without
     # an input-sized mask.
     has_nan = bool(np.isnan(k.sum()))

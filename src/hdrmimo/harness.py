@@ -14,7 +14,6 @@ from .channel import (
     noise_variance_from_msnr,
     observe,
     realize_channel,
-    require_finite_floats,
 )
 from .equalizer import (
     build_lmmse,
@@ -42,26 +41,16 @@ from .training import (
 
 METHODS = ("perfect", "wsu", "none", "hr-iso", "hr-max")
 
-CSV_HEADER = "method,rho_db,q,C,B,U,msnr_db,bit_errors,total_bits,ber,realizations,seed"
-
 # Keeps the fixed-point MSNR encoding nonnegative for SeedSequence.
 _MSNR_KEY_OFFSET = 1 << 40
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one BER sweep (scenario, methods, grid, budget)."""
+class ExperimentConfig(ScenarioConfig):
+    """Full description of one BER sweep: the scenario fields it inherits
+    from ``ScenarioConfig`` plus the quantizer, methods, grid and budget."""
 
-    bs_antennas: int = 256
-    ues: int = 32
-    clusters: int = 32
     q_bits: int = 3
-    rho_db: float = 30.0
-    dr_limit_db: float = 6.0
-    paths: int = 5
-    angle_sector_deg: float = 60.0
-    path_decay_db: float = 5.0
-    shadowing_std_db: float = 8.0
     methods: tuple[str, ...] = METHODS
     msnr_start: float = -10.0
     msnr_stop: float = 15.0
@@ -75,8 +64,7 @@ class ExperimentConfig:
     quantized_training: bool = False
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
-        self.scenario()  # validates the geometry/power-control fields
+        super().__post_init__()
         if not 1 <= self.q_bits <= 12:
             raise ValueError(f"q_bits must be in 1..12, got {self.q_bits}")
         if not self.methods:
@@ -96,19 +84,6 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-
-    def scenario(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            bs_antennas=self.bs_antennas,
-            ues=self.ues,
-            clusters=self.clusters,
-            rho_db=self.rho_db,
-            dr_limit_db=self.dr_limit_db,
-            paths=self.paths,
-            angle_sector_deg=self.angle_sector_deg,
-            path_decay_db=self.path_decay_db,
-            shadowing_std_db=self.shadowing_std_db,
-        )
 
     def msnr_grid(self) -> tuple:
         n = int(np.floor((self.msnr_stop - self.msnr_start) / self.msnr_step + 1e-9))
@@ -136,6 +111,26 @@ class ResultRecord:
     ber: float
     realizations: int
     seed: int
+
+
+# The results CSV, one (header name, ResultRecord field) pair per column in
+# column order; the header is a public contract.
+_CSV_COLUMNS = (
+    ("method", "method"),
+    ("rho_db", "rho_db"),
+    ("q", "q"),
+    ("C", "clusters"),
+    ("B", "bs_antennas"),
+    ("U", "ues"),
+    ("msnr_db", "msnr_db"),
+    ("bit_errors", "bit_errors"),
+    ("total_bits", "total_bits"),
+    ("ber", "ber"),
+    ("realizations", "realizations"),
+    ("seed", "seed"),
+)
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+_RECORD_TYPES = get_type_hints(ResultRecord)
 
 
 def trial_rng(
@@ -184,10 +179,9 @@ def run_trial(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
-    scen = cfg.scenario()
     rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
 
-    realization = realize_channel(scen, rng, power_control_all=(method == "wsu"))
+    realization = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
     noise = noise_variance_from_msnr(realization.h, msnr_db)
 
     pilots = generate_pilots(cfg.ues, cfg.pilot_length())
@@ -197,8 +191,7 @@ def run_trial(
     est = estimate_from_training(y_train, pilots, cfg.clusters)
 
     if method == "perfect":
-        transform = None
-        eq = build_unquantized_lmmse(est.h_hat, noise.n0)
+        w = build_unquantized_lmmse(est.h_hat, noise.n0)
     else:
         if method == "hr-iso":
             transform = design_hr_iso(est.h_strong, cfg.clusters)
@@ -208,7 +201,7 @@ def run_trial(
             transform = identity_transform(cfg.bs_antennas, cfg.clusters)
         quant = design_quantizer(cfg.q_bits)
         gains = compute_agc(est.c_y_blocks, transform)
-        eq = build_lmmse(est.h_hat, transform, gains, quant, noise.n0)
+        w = build_lmmse(est.h_hat, transform, gains, quant, noise.n0)
 
     nbits = 4 * cfg.ues
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, nbits))
@@ -229,7 +222,7 @@ def run_trial(
             )
         r_block = adc(y_tilde, gains, quant)
 
-    s_hat = equalize(eq, r_block)
+    s_hat = equalize(w, r_block)
     rx_bits = hard_slice(s_hat.T.reshape(-1))
     return count_bit_errors(tx_bits.reshape(-1), rx_bits)
 
@@ -288,16 +281,16 @@ def run_sweep(cfg: ExperimentConfig) -> list:
 
 
 def write_csv(records: Sequence[ResultRecord], path: str) -> None:
-    """Write records with the fixed header, '.' decimals, newline-terminated."""
+    """Write records with the fixed header, '.' decimals, newline-terminated.
+
+    Floats are written as ``repr`` (which ``str`` equals), so they read back
+    exactly.
+    """
     if not records:
         raise ValueError("no records to write")
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            f"{r.method},{r.rho_db!r},{r.q},{r.clusters},{r.bs_antennas},"
-            f"{r.ues},{r.msnr_db!r},{r.bit_errors},{r.total_bits},{r.ber!r},"
-            f"{r.realizations},{r.seed}"
-        )
+        lines.append(",".join(str(getattr(r, key)) for _, key in _CSV_COLUMNS))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -309,22 +302,19 @@ def read_csv(path: str) -> list:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unrecognized results header in {path}")
     records = []
-    for ln in lines[1:]:
-        f = ln.split(",")
+    for lineno, ln in enumerate(lines[1:], start=2):
+        cells = ln.split(",")
+        if len(cells) != len(_CSV_COLUMNS):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, "
+                f"got {len(cells)}"
+            )
         records.append(
             ResultRecord(
-                method=f[0],
-                rho_db=float(f[1]),
-                q=int(f[2]),
-                clusters=int(f[3]),
-                bs_antennas=int(f[4]),
-                ues=int(f[5]),
-                msnr_db=float(f[6]),
-                bit_errors=int(f[7]),
-                total_bits=int(f[8]),
-                ber=float(f[9]),
-                realizations=int(f[10]),
-                seed=int(f[11]),
+                **{
+                    key: _RECORD_TYPES[key](cell)
+                    for (_, key), cell in zip(_CSV_COLUMNS, cells)
+                }
             )
         )
     return records
@@ -340,10 +330,10 @@ def emit_plot_script(
     for r in records:
         if r.method not in methods:
             methods.append(r.method)
-    # Columns: 1 = method, 7 = msnr_db, 10 = ber.
+    col = {key: i for i, (_, key) in enumerate(_CSV_COLUMNS, start=1)}
     clauses = [
-        f"  csv using (strcol(1) eq '{m}' ? $7 : NaN):10 "
-        f"with linespoints title '{m}'"
+        f"  csv using (strcol({col['method']}) eq '{m}' ? ${col['msnr_db']} : NaN)"
+        f":{col['ber']} with linespoints title '{m}'"
         for m in methods
     ]
     script = "\n".join(
@@ -378,6 +368,15 @@ def _parse_bool(value) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+def _parse_int(value) -> int:
+    # int() alone would truncate 3.7 to 3 and read True as 1.
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _parse_list(value) -> tuple:
     if isinstance(value, str):
         return tuple(m.strip() for m in value.split(",") if m.strip())
@@ -389,6 +388,8 @@ def _parser_for(annotation):
     # parses as X and a tuple field as a comma list.
     if annotation is bool:
         return _parse_bool
+    if annotation is int:
+        return _parse_int
     if get_origin(annotation) is tuple:
         return _parse_list
     inner = [a for a in get_args(annotation) if a is not type(None)]

@@ -50,6 +50,15 @@ class TestGenerateChannel:
     def test_broadside_steering(self):
         assert np.allclose(steering_vector(0.0, 8), np.ones(8))
 
+    def test_steering_broadcasts_over_angles(self):
+        # An angle array gives one steering vector per angle, antenna index
+        # first, each bit-identical to the single-angle call.
+        theta = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 5))
+        steer = steering_vector(theta, 16)
+        assert steer.shape == (16, 3, 5)
+        for i, j in np.ndindex(theta.shape):
+            assert np.array_equal(steer[:, i, j], steering_vector(theta[i, j], 16))
+
     def test_single_path_columns_follow_steering(self):
         # One path at broadside, no shadowing: every column is a complex
         # scalar times the all-ones steering vector.

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from hdrmimo.equalizer import (
-    EqualizerMatrix,
     QAM16_LEVELS,
     build_lmmse,
     build_unquantized_lmmse,
@@ -141,9 +140,9 @@ class TestBuildLmmse:
             n0,
         )
         classic = h.conj().T @ np.linalg.inv(h @ h.conj().T + n0 * np.eye(b))
-        assert np.allclose(eq.w, classic, atol=1e-12)
+        assert np.allclose(eq, classic, atol=1e-12)
         perfect = build_unquantized_lmmse(h, n0)
-        assert np.allclose(eq.w, perfect.w, atol=1e-12)
+        assert np.allclose(eq, perfect, atol=1e-12)
 
     def test_scalar_case(self):
         h = np.array([[1.0 + 0.0j]])
@@ -154,8 +153,8 @@ class TestBuildLmmse:
             passthrough_quantizer(),
             1.0,
         )
-        assert np.allclose(eq.w, [[0.5]])
-        assert np.allclose(build_unquantized_lmmse(h, 1.0).w, [[0.5]])
+        assert np.allclose(eq, [[0.5]])
+        assert np.allclose(build_unquantized_lmmse(h, 1.0), [[0.5]])
 
     def test_unquantized_matches_dense_oracle_many_antennas(self):
         # N0 is kept near the per-entry channel power: the B x B oracle's
@@ -166,7 +165,7 @@ class TestBuildLmmse:
             h = random_complex(rng, b, u)
             h[:, 0] *= 3.0
             dense = h.conj().T @ np.linalg.inv(h @ h.conj().T + n0 * np.eye(b))
-            w = build_unquantized_lmmse(h, n0).w
+            w = build_unquantized_lmmse(h, n0)
             assert w.shape == (u, b)
             assert np.linalg.norm(w - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -185,7 +184,7 @@ class TestBuildLmmse:
             n0 = 0.2
             eq = build_lmmse(h, t, gains, quant, n0)
             dense = dense_lmmse_oracle(h, t, gains, quant, n0)
-            assert np.linalg.norm(eq.w - dense) <= 1e-9 * np.linalg.norm(dense)
+            assert np.linalg.norm(eq - dense) <= 1e-9 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("variant", ["identity", "hr-iso", "hr-max"])
     @pytest.mark.parametrize("q", [1, 3, 5, 12])
@@ -208,8 +207,8 @@ class TestBuildLmmse:
             quant = design_quantizer(q)
             eq = build_lmmse(h, t, gains, quant, n0)
             dense = dense_lmmse_oracle(h, t, gains, quant, n0)
-            assert eq.w.shape == (u, b)
-            assert np.linalg.norm(eq.w - dense) <= 1e-10 * np.linalg.norm(dense)
+            assert eq.shape == (u, b)
+            assert np.linalg.norm(eq - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_zero_effective_noise_rejected(self):
         # N0 = 0 with a distortion-free quantizer leaves D = 0 on every ADC,
@@ -234,8 +233,8 @@ class TestBuildLmmse:
             h, identity_transform(b, 4), AgcGains(np.ones(b)), quant, n0
         )
         perfect = build_unquantized_lmmse(h, n0)
-        gap = np.linalg.norm(eq.w - perfect.w)
-        assert gap <= 1e-3 * np.linalg.norm(perfect.w)
+        gap = np.linalg.norm(eq - perfect)
+        assert gap <= 1e-3 * np.linalg.norm(perfect)
 
     def test_beats_row_scaled_matched_filter(self):
         # Under the linearized observation model, the detector's analytic
@@ -263,7 +262,7 @@ class TestBuildLmmse:
             mf = a.conj().T / quant.gamma**2  # any row scaling is allowed
             row_gain = np.real(np.diagonal(mf @ a))
             mf = mf / row_gain[:, None]
-            assert model_mse(eq.w) <= model_mse(mf) + 1e-12
+            assert model_mse(eq) <= model_mse(mf) + 1e-12
 
     def test_rank_deficient_noiseless_rejected(self):
         h = np.ones((2, 2), dtype=complex)  # identical columns, rank 1
@@ -293,12 +292,12 @@ class TestEqualize:
     def test_identity_detector(self):
         rng = np.random.default_rng(4)
         r = random_complex(rng, 5)
-        eq = EqualizerMatrix(w=np.eye(5, dtype=complex))
+        eq = np.eye(5, dtype=complex)
         assert np.allclose(equalize(eq, r), r)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
-        eq = EqualizerMatrix(w=random_complex(rng, 3, 6))
+        eq = random_complex(rng, 3, 6)
         r1, r2 = random_complex(rng, 6), random_complex(rng, 6)
         a = 2.0 - 1.5j
         assert np.allclose(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hdrmimo.frontend import (
-    HR_ISO,
     AgcGains,
     QuantizerModel,
     SpatialTransform,
@@ -23,7 +22,6 @@ from hdrmimo.frontend import (
     midrise,
     optimal_step_size,
     quantizer_mse,
-    transform_covariance,
 )
 from hdrmimo.linalg import (
     complex_sign,
@@ -231,9 +229,9 @@ class TestApplyTransform:
         c = a @ a.conj().T
         t = design_hr_max(diagonal_blocks(c, 2))
         dense = dense_transform_matrix(t)
-        assert np.allclose(
-            transform_covariance(t, c), dense @ c @ dense.conj().T, atol=1e-10
-        )
+        half = apply_transform(t, c)
+        conjugated = apply_transform(t, half.conj().T).conj().T
+        assert np.allclose(conjugated, dense @ c @ dense.conj().T, atol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -241,15 +239,15 @@ class TestApplyTransform:
 
     def test_malformed_vectors_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            SpatialTransform("hr-iso", np.array([[1.0, np.nan]]))
+            SpatialTransform(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError, match="finite"):
-            SpatialTransform("hr-iso", np.array([[np.inf, 0.0], [1.0, 1.0]]))
+            SpatialTransform(np.array([[np.inf, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError, match=r"\(C, S\).*\(2,\)"):
-            SpatialTransform("hr-iso", np.ones(2))  # one vector, not a stack
+            SpatialTransform(np.ones(2))  # one vector, not a stack
         with pytest.raises(ValueError, match=r"\(C, S\).*\(0, 2\)"):
-            SpatialTransform("hr-iso", np.zeros((0, 2)))
+            SpatialTransform(np.zeros((0, 2)))
         with pytest.raises(ValueError, match="squared norm"):
-            SpatialTransform("hr-iso", np.array([[1e-170, 0.0]]))
+            SpatialTransform(np.array([[1e-170, 0.0]]))
 
 
 def random_shape(rng):
@@ -374,7 +372,7 @@ class TestReflectorProperties:
         c, s = data.draw(_shapes)
         vectors = data.draw(arrays(complex, (c, s), elements=_entries))
         y = data.draw(arrays(complex, (c * s, 2), elements=_entries))
-        t = SpatialTransform(HR_ISO, vectors)
+        t = SpatialTransform(vectors)
         ty = apply_transform(t, y)
         scale = max(np.linalg.norm(y), 1e-300)
         norms_in, norms_out = np.linalg.norm(y, axis=0), np.linalg.norm(ty, axis=0)
@@ -471,6 +469,36 @@ class TestMidrise:
             assert len(levels) == 2**q
             assert np.isclose(np.abs(levels).max(), 0.25 * (2**q - 1))
 
+    @staticmethod
+    def assert_alphabet_of_2_to_the_q(q, delta, x_extra=()):
+        half = 2 ** (q - 1)
+        edges = delta * np.arange(-half, half + 1)
+        # One input inside every cell and both saturation regions, every
+        # cell edge and its float neighbours.
+        x = np.concatenate(
+            [
+                delta * (np.arange(-half - 2, half + 2) + 0.5),
+                edges,
+                np.nextafter(edges, np.inf),
+                np.nextafter(edges, -np.inf),
+                x_extra,
+            ]
+        )
+        levels = np.unique(midrise(x, delta, q))
+        assert levels.size == 2**q, (q, delta.hex())
+        assert np.array_equal(levels, -levels[::-1])
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_designed_alphabet_has_2_to_the_q_levels(self, q):
+        self.assert_alphabet_of_2_to_the_q(q, design_quantizer(q).delta)
+
+    @_PROPERTY
+    @given(q=st.integers(1, 12), delta=st.floats(1e-6, 1e3), data=st.data())
+    def test_alphabet_has_2_to_the_q_levels(self, q, delta, data):
+        bound = 3.0 * delta * 2 ** (q - 1)
+        x = data.draw(arrays(float, 32, elements=st.floats(-bound, bound)))
+        self.assert_alphabet_of_2_to_the_q(q, delta, x)
+
     def test_monotone_and_bounded_error(self):
         x = np.linspace(-5.0, 5.0, 4001)
         y = midrise(x, 0.4, 3)
@@ -483,7 +511,7 @@ class TestMidrise:
         # give the same bits, at cell edges and their float neighbours too.
         def reference(x, delta, q):
             threshold = delta * 2 ** (q - 1)
-            granular = delta * np.floor(x / delta) + delta / 2.0
+            granular = (delta / 2.0) * (2.0 * np.floor(x / delta) + 1.0)
             saturated = np.sign(x) * (delta / 2.0) * (2**q - 1)
             return np.where(np.abs(x) < threshold, granular, saturated)
 

@@ -1,17 +1,23 @@
+import inspect
 import sys
 import tracemalloc
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdrmimo import linalg
+from hdrmimo.channel import ScenarioConfig, realize_channel
 from hdrmimo.cli import build_parser, config_from_argv
 from hdrmimo.cli import main as cli_main
 from hdrmimo.harness import (
     CSV_HEADER,
     METHODS,
     ExperimentConfig,
+    ResultRecord,
     emit_plot_script,
     parse_config,
     read_csv,
@@ -65,7 +71,109 @@ NEW_FLAG_CASES = [
 ]
 
 
+INT_KEYS = sorted(
+    key for key, kind in get_type_hints(ExperimentConfig).items() if kind is int
+)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid ExperimentConfig, every field drawn."""
+    clusters = draw(st.integers(1, 8))
+    bs_antennas = clusters * draw(st.integers(2, 8))
+    finite = st.floats(-1e6, 1e6)
+    nonnegative = st.floats(0.0, 1e6)
+    dr_limit_db = draw(finite)
+    msnr_start = draw(finite)
+    # Paths start with a letter or digit: argparse (Python 3.11) drops a
+    # bare "--" option value, so "--out=--" cannot reach parse_config.
+    path = st.from_regex(r"[a-z0-9][a-z0-9_./-]{0,11}", fullmatch=True)
+    return ExperimentConfig(
+        bs_antennas=bs_antennas,
+        ues=draw(st.integers(2, bs_antennas)),
+        clusters=clusters,
+        rho_db=dr_limit_db + draw(nonnegative),
+        dr_limit_db=dr_limit_db,
+        paths=draw(st.integers(1, 12)),
+        angle_sector_deg=draw(nonnegative),
+        path_decay_db=draw(nonnegative),
+        shadowing_std_db=draw(nonnegative),
+        q_bits=draw(st.integers(1, 12)),
+        methods=tuple(draw(st.lists(st.sampled_from(METHODS), min_size=1))),
+        msnr_start=msnr_start,
+        msnr_stop=msnr_start + draw(nonnegative),
+        msnr_step=draw(st.floats(1e-6, 1e6)),
+        realizations=draw(st.integers(1, 10**6)),
+        symbols=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**63)),
+        out=draw(path),
+        plot_script=draw(st.none() | path),
+        threads=draw(st.integers(1, 64)),
+        quantized_training=draw(st.booleans()),
+    )
+
+
+def config_as_text(cfg):
+    """key -> value text for every field that is set (plot_script may be
+    None, which has no text form)."""
+    text = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        # str(float) is repr(float), which reads back exactly.
+        text[f.name] = ",".join(value) if isinstance(value, tuple) else str(value)
+    return text
+
+
 class TestConfig:
+    def test_scenario_fields_declared_once(self):
+        # ExperimentConfig inherits the scenario fields and their checks.
+        assert issubclass(ExperimentConfig, ScenarioConfig)
+        scenario_keys = {f.name for f in fields(ScenarioConfig)}
+        assert scenario_keys.isdisjoint(inspect.get_annotations(ExperimentConfig))
+        assert scenario_keys < {f.name for f in fields(ExperimentConfig)}
+
+    def test_realize_channel_takes_the_sweep_config(self):
+        cfg = smoke_cfg(rho_db=25.0, paths=3, shadowing_std_db=4.0)
+        scenario = ScenarioConfig(
+            **{f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
+        )
+        a = realize_channel(cfg, np.random.default_rng(4))
+        b = realize_channel(scenario, np.random.default_rng(4))
+        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a.gains, b.gains)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cfg=experiment_configs())
+    def test_round_trip_through_file_and_flags(self, tmp_path_factory, cfg):
+        text = config_as_text(cfg)
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        assert parse_config(str(path)) == cfg
+        argv = [
+            f"--{key.replace('_', '-')}={value}"
+            for key, value in text.items()
+            if key != "quantized_training"
+        ]
+        argv.append(
+            "--quantized-training" if cfg.quantized_training
+            else "--no-quantized-training"
+        )
+        assert config_from_argv(argv) == cfg
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    @pytest.mark.parametrize("value", [3.7, 2.9, -0.5, float("nan"), True, False])
+    def test_int_key_rejects_non_integral_float_and_bool(self, key, value):
+        with pytest.raises(ValueError, match=f"bad value for key '{key}'"):
+            parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_int_key_takes_integral_float(self, key):
+        default = getattr(ExperimentConfig(), key)
+        value = getattr(parse_config(overrides={key: float(default)}), key)
+        assert value == default and type(value) is int
+
     def test_defaults_match_reference_scenario(self):
         cfg = ExperimentConfig()
         assert (cfg.bs_antennas, cfg.ues, cfg.clusters) == (256, 32, 32)
@@ -321,6 +429,31 @@ class TestCsvAndPlot:
         assert len(lines) == 1 + len(records)
         assert text.endswith("\n")
         assert read_csv(str(path)) == records
+
+    def test_row_layout(self, tmp_path):
+        # Each value sits under its header name; floats are written as repr.
+        record = ResultRecord(
+            method="hr-iso", rho_db=30.0, q=3, clusters=8, bs_antennas=64,
+            ues=4, msnr_db=-2.5, bit_errors=7, total_bits=800, ber=7 / 800,
+            realizations=2, seed=123,
+        )
+        path = tmp_path / "one.csv"
+        write_csv([record], str(path))
+        assert path.read_text() == (
+            "method,rho_db,q,C,B,U,msnr_db,bit_errors,total_bits,ber,"
+            "realizations,seed\n"
+            "hr-iso,30.0,3,8,64,4,-2.5,7,800,0.00875,2,123\n"
+        )
+        assert read_csv(str(path)) == [record]
+
+    def test_row_with_wrong_column_count_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        write_csv(self.run_small(), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":3: expected 12 columns, got 11"):
+            read_csv(str(path))
 
     def test_single_record_two_lines(self, tmp_path):
         records = self.run_small()[:1]
