@@ -112,10 +112,33 @@ def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
     return np.exp(1j * np.pi * antenna * sin)
 
 
-def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    """I.i.d. circularly-symmetric complex Gaussian, given variance per entry."""
+def _add_complex_noise(
+    rng: np.random.Generator, out: np.ndarray, variance: float
+) -> None:
+    # Adds scale * (a + 1j*b), scale = sqrt(variance/2), to the complex array
+    # ``out`` in place. All real parts a are drawn before all imaginary parts
+    # b, as two rng.standard_normal(out.shape) calls would draw them, into one
+    # reused float buffer of half the size of ``out``.
     scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    draws = np.empty(out.shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=draws)
+        draws *= scale
+        part += draws
+
+
+def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+    """I.i.d. circularly-symmetric complex Gaussian, given variance per entry.
+
+    Allocates the complex result and one float buffer of half its size:
+    the real parts are drawn first, then the imaginary parts, each scaled in
+    place by sqrt(variance/2). For a positive variance the result is bit for
+    bit ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
+    from the same draws of ``rng``.
+    """
+    out = np.zeros(shape, dtype=complex)
+    _add_complex_noise(rng, out, variance)
+    return out
 
 
 def generate_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -231,12 +254,17 @@ def observe(
     """Receive vector(s) h @ s + n with i.i.d. complex Gaussian noise.
 
     ``s`` may be a length-U symbol vector or a (U, n) block of symbol
-    vectors; the noise is drawn per entry of the output.
+    vectors; the noise is drawn per entry of the output. Allocates the
+    product h @ s and one float buffer of half its size, in which the real
+    and then the imaginary noise parts are drawn, scaled and added to the
+    product in place. For a positive noise variance the result is bit for
+    bit ``h @ s + complex_noise(rng, shape, n0)``, drawn in the same order.
     """
     s = np.asarray(s)
     if s.shape[0] != h.shape[1]:
         raise ValueError(
             f"symbol dimension {s.shape[0]} does not match user count {h.shape[1]}"
         )
-    out_shape = (h.shape[0],) if s.ndim == 1 else (h.shape[0], s.shape[1])
-    return h @ s + complex_noise(rng, out_shape, noise.n0)
+    y = np.asarray(h @ s, dtype=complex)
+    _add_complex_noise(rng, y, noise.n0)
+    return y

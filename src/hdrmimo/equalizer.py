@@ -15,33 +15,61 @@ from .linalg import posdef_inverse_apply
 QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 _PAIR_TO_LEVEL = np.array([0, 1, 3, 2])  # indexed by 2*b0 + b1
 _LEVEL_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+# 16-row tables: _SYMBOLS[8*b0 + 4*b1 + 2*b2 + b3] is the symbol of bits
+# b0..b3, and _BITS[4*i + q] the bits of in-phase level i and quadrature
+# level q.
+_SYMBOLS = (
+    QAM16_LEVELS[_PAIR_TO_LEVEL][:, None]
+    + 1j * QAM16_LEVELS[_PAIR_TO_LEVEL][None, :]
+).reshape(16)
+_BITS = np.concatenate(
+    [np.repeat(_LEVEL_TO_BITS, 4, axis=0), np.tile(_LEVEL_TO_BITS, (4, 1))],
+    axis=1,
+)
+_BIT_WEIGHTS = np.array([8, 4, 2, 1])
 
 
 def modulate(bits: np.ndarray) -> np.ndarray:
-    """Map a bit vector (length 4n) to n Gray-coded 16-QAM symbols."""
+    """Map a bit vector (length 4n) to n Gray-coded 16-QAM symbols.
+
+    Each group of 4 bits indexes a 16-entry table of the symbols
+    ``QAM16_LEVELS[i] + 1j*QAM16_LEVELS[q]``; the only allocations are the
+    n indices and the n symbols.
+    """
     bits = np.asarray(bits, dtype=int).reshape(-1)
     if bits.size % 4 != 0:
         raise ValueError(f"bit count must be a multiple of 4, got {bits.size}")
-    groups = bits.reshape(-1, 4)
-    i_idx = _PAIR_TO_LEVEL[2 * groups[:, 0] + groups[:, 1]]
-    q_idx = _PAIR_TO_LEVEL[2 * groups[:, 2] + groups[:, 3]]
-    return QAM16_LEVELS[i_idx] + 1j * QAM16_LEVELS[q_idx]
+    return _SYMBOLS[bits.reshape(-1, 4) @ _BIT_WEIGHTS]
 
 
 def hard_slice(s_hat: np.ndarray) -> np.ndarray:
     """Nearest-level 16-QAM decisions followed by the inverse Gray map.
 
-    Returns 4 bits per input symbol; hard_slice(modulate(b)) == b.
+    Returns 4 bits per input symbol, in C order of ``s_hat`` (any shape,
+    views such as a transpose included); hard_slice(modulate(b)) == b.
+    Per real dimension the decision index is clip(floor((x*sqrt(10) + 4)/2),
+    0, 3), so +-inf take the outer levels. A NaN soft symbol raises
+    ValueError.
+
+    Allocates one float buffer of two entries per symbol, in which both
+    indices are computed in place and combined into the row 4*i + q of a
+    16-row bit table, then the row indices and the bits.
     """
-    s_hat = np.asarray(s_hat, dtype=complex).reshape(-1)
-    scaled_i = s_hat.real * np.sqrt(10.0)
-    scaled_q = s_hat.imag * np.sqrt(10.0)
-    i_idx = np.clip(np.floor((scaled_i + 4.0) / 2.0), 0, 3).astype(int)
-    q_idx = np.clip(np.floor((scaled_q + 4.0) / 2.0), 0, 3).astype(int)
-    bits = np.concatenate(
-        [_LEVEL_TO_BITS[i_idx], _LEVEL_TO_BITS[q_idx]], axis=1
-    )
-    return bits.reshape(-1)
+    s_hat = np.asarray(s_hat, dtype=complex)
+    idx = np.empty(s_hat.shape + (2,))
+    i, q = idx[..., 0], idx[..., 1]
+    np.multiply(s_hat.real, np.sqrt(10.0), out=i)
+    np.multiply(s_hat.imag, np.sqrt(10.0), out=q)
+    idx += 4.0
+    idx /= 2.0
+    np.floor(idx, out=idx)
+    np.clip(idx, 0, 3, out=idx)
+    i *= 4.0
+    i += q
+    # After clipping only NaN is non-finite, and it reaches the row index.
+    if np.isnan(np.sum(i)):
+        raise ValueError("cannot slice a NaN soft symbol")
+    return _BITS[i.astype(np.intp)].reshape(-1)
 
 
 def count_bit_errors(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int]:

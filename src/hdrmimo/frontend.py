@@ -222,31 +222,26 @@ def midrise(x: np.ndarray, delta: float, q: int) -> np.ndarray:
     cell. The output alphabet has exactly 2^q levels per real dimension and
     is odd-symmetric. NaN stays NaN.
 
-    Evaluated as a table lookup: the cell index floor(x/delta) is clipped
-    to -2^(q-1)..2^(q-1)-1. Level k is computed as (delta/2)(2k + 1), one
-    rounding of its exact value, so the outermost cells give the saturation
-    levels bit for bit (delta*k + delta/2 rounds twice and can miss the top
-    one by an ulp, a (2^q + 1)-th level).
+    Allocates the output and nothing else: the cell index
+    k = floor(x/delta), clipped to -2^(q-1)..2^(q-1)-1, becomes the level
+    (k + 1/2)*delta in place. That is one rounding of the exact level, bit
+    for bit (delta/2)(2k + 1), so the outermost cells give the saturation
+    levels exactly (delta*k + delta/2 rounds twice and can miss the top one
+    by an ulp, a (2^q + 1)-th level).
     """
-    x = np.asarray(x, dtype=float)
-    half = 2 ** (q - 1)
-    levels = (delta / 2.0) * (2.0 * np.arange(-half, half) + 1.0)
-    k = np.divide(x, delta, out=np.empty_like(x))
-    np.floor(k, out=k)
-    np.clip(k, -half, half - 1, out=k)
-    # After clipping only NaN is non-finite, so one sum detects it without
-    # an input-sized mask.
-    has_nan = bool(np.isnan(k.sum()))
-    if has_nan:
-        nan = np.isnan(k)
-        k[nan] = 0.0
-    k += half
-    # The levels overwrite the cell indices; indices are in range, so 'clip'
-    # mode skips the bounds check and the buffer it needs.
-    out = np.take(levels, k.astype(np.intp), out=k, mode="clip")
-    if has_nan:
-        out[nan] = np.nan
+    out = np.array(x, dtype=float)
+    _midrise_inplace(out, delta, q)
     return out
+
+
+def _midrise_inplace(x: np.ndarray, delta: float, q: int) -> None:
+    # midrise, overwriting the float array x with its levels.
+    half = 2 ** (q - 1)
+    x /= delta
+    np.floor(x, out=x)
+    np.clip(x, -half, half - 1, out=x)
+    x += 0.5
+    x *= delta
 
 
 def _gaussian_cell_moments(q: int, delta: float):
@@ -357,9 +352,10 @@ def adc(
 ) -> np.ndarray:
     """AGC scaling followed by midrise quantization of both real dimensions.
 
-    Accepts a length-B vector or a (B, n) block of receive vectors. The
-    real and imaginary parts are quantized in one pass over the
-    interleaved float view of the scaled samples.
+    Accepts a length-B vector or a (B, n) block of receive vectors and
+    leaves it unchanged. Allocates one output-sized buffer, the scaled
+    samples ``y_tilde * omega``, and quantizes its interleaved float view
+    in place, bit for bit as ``midrise`` of that view would.
     """
     y_tilde = np.asarray(y_tilde, dtype=complex)
     omega = gains.omega
@@ -369,4 +365,5 @@ def adc(
             f"{omega.shape[0]}"
         )
     scaled = y_tilde * (omega if y_tilde.ndim == 1 else omega[:, None])
-    return midrise(scaled.view(float), quant.delta, quant.q).view(complex)
+    _midrise_inplace(scaled.view(float), quant.delta, quant.q)
+    return scaled

@@ -203,10 +203,13 @@ def run_trial(
         gains = compute_agc(est.c_y_blocks, transform)
         w = build_lmmse(est.h_hat, transform, gains, quant, noise.n0)
 
+    # The data path holds at most two (B, n) blocks at a time: each block is
+    # dropped as soon as the next stage has consumed it.
     nbits = 4 * cfg.ues
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, nbits))
-    s_block = modulate(tx_bits.reshape(-1)).reshape(cfg.symbols, cfg.ues).T
+    s_block = modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T
     y_block = observe(realization.h, s_block, noise, rng)
+    del s_block
 
     if method == "perfect":
         r_block = y_block
@@ -220,11 +223,15 @@ def run_trial(
                 f"spatial transform broke energy conservation: "
                 f"||Fy|| = {n_out!r} vs ||y|| = {n_in!r}"
             )
+        del y_block
         r_block = adc(y_tilde, gains, quant)
+        del y_tilde
 
     s_hat = equalize(w, r_block)
-    rx_bits = hard_slice(s_hat.T.reshape(-1))
-    return count_bit_errors(tx_bits.reshape(-1), rx_bits)
+    del r_block
+    # s_hat is (U, n); its transpose lists the symbols in tx_bits order.
+    rx_bits = hard_slice(s_hat.T)
+    return count_bit_errors(tx_bits, rx_bits)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:
@@ -370,11 +377,26 @@ def _parse_bool(value) -> bool:
 
 def _parse_int(value) -> int:
     # int() alone would truncate 3.7 to 3 and read True as 1.
-    if isinstance(value, bool) or (
+    if isinstance(value, (bool, np.bool_)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def _parse_float(value) -> float:
+    # float() alone would read True as 1.0.
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _parse_text(value) -> str:
+    # str() alone would turn any object into text: argparse hands over an
+    # empty list for the option value "--", which would name a file "[]".
+    if not isinstance(value, str):
+        raise ValueError(f"not text: {value!r}")
+    return value
 
 
 def _parse_list(value) -> tuple:
@@ -385,15 +407,20 @@ def _parse_list(value) -> tuple:
 
 def _parser_for(annotation):
     # Text-to-value parser for one ExperimentConfig field; Optional[X]
-    # parses as X and a tuple field as a comma list.
+    # takes None or parses as X, and a tuple field parses as a comma list.
     if annotation is bool:
         return _parse_bool
     if annotation is int:
         return _parse_int
+    if annotation is float:
+        return _parse_float
+    if annotation is str:
+        return _parse_text
     if get_origin(annotation) is tuple:
         return _parse_list
-    inner = [a for a in get_args(annotation) if a is not type(None)]
-    return _parser_for(inner[0]) if inner else annotation
+    (inner,) = [a for a in get_args(annotation) if a is not type(None)]
+    parse = _parser_for(inner)
+    return lambda value: None if value is None else parse(value)
 
 
 # Key -> parser for every ExperimentConfig field, read off the dataclass.

@@ -430,12 +430,13 @@ class TestDataPathMemory:
         t = design_hr_iso(random_complex(rng, 64), 8)
         assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 1.2
 
-    def test_adc_allocates_three_blocks(self):
-        # The scaled copy, the cell indices and the output levels.
+    def test_adc_allocates_one_block(self):
+        # The scaled copy, quantized in place, is the output; the slack of
+        # 5% of a block covers the small arrays (measured: 1.006 blocks).
         rng = np.random.default_rng(16)
         y = random_complex(rng, 64, 20000)
         gains, quant = AgcGains(np.ones(64)), design_quantizer(3)
-        assert self.peak_in_blocks(lambda: adc(y, gains, quant), y) < 3.1
+        assert self.peak_in_blocks(lambda: adc(y, gains, quant), y) < 1.05
 
 
 class TestMidrise:

@@ -74,6 +74,10 @@ NEW_FLAG_CASES = [
 INT_KEYS = sorted(
     key for key, kind in get_type_hints(ExperimentConfig).items() if kind is int
 )
+FLOAT_KEYS = sorted(
+    key for key, kind in get_type_hints(ExperimentConfig).items() if kind is float
+)
+TEXT_KEYS = ("out", "plot_script")
 
 
 @st.composite
@@ -85,9 +89,11 @@ def experiment_configs(draw):
     nonnegative = st.floats(0.0, 1e6)
     dr_limit_db = draw(finite)
     msnr_start = draw(finite)
-    # Paths start with a letter or digit: argparse (Python 3.11) drops a
-    # bare "--" option value, so "--out=--" cannot reach parse_config.
-    path = st.from_regex(r"[a-z0-9][a-z0-9_./-]{0,11}", fullmatch=True)
+    # Any path, including ones that start with "-" and the bare "--",
+    # which argparse cannot carry as an option value.
+    path = st.sampled_from(["--", "-", "-o.csv"]) | st.from_regex(
+        r"[a-z0-9_./-]{1,12}", fullmatch=True
+    )
     return ExperimentConfig(
         bs_antennas=bs_antennas,
         ues=draw(st.integers(2, bs_antennas)),
@@ -160,13 +166,34 @@ class TestConfig:
             "--quantized-training" if cfg.quantized_training
             else "--no-quantized-training"
         )
-        assert config_from_argv(argv) == cfg
+        if "--" in (cfg.out, cfg.plot_script):
+            # argparse hands over an empty list for the value "--": a usage
+            # error, never a file named "[]".
+            with pytest.raises(SystemExit):
+                config_from_argv(argv)
+        else:
+            assert config_from_argv(argv) == cfg
 
     @pytest.mark.parametrize("key", INT_KEYS)
     @pytest.mark.parametrize("value", [3.7, 2.9, -0.5, float("nan"), True, False])
     def test_int_key_rejects_non_integral_float_and_bool(self, key, value):
         with pytest.raises(ValueError, match=f"bad value for key '{key}'"):
             parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_float_key_rejects_bool(self, key, value):
+        with pytest.raises(ValueError, match=f"bad value for key '{key}'"):
+            parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("key", TEXT_KEYS)
+    @pytest.mark.parametrize("value", [5, 2.5, True, [], ["a.csv"], b"a.csv"])
+    def test_text_key_rejects_non_text(self, key, value):
+        with pytest.raises(ValueError, match=f"bad value for key '{key}'"):
+            parse_config(overrides={key: value})
+
+    def test_optional_text_key_takes_none(self):
+        assert parse_config(overrides={"plot_script": None}).plot_script is None
 
     @pytest.mark.parametrize("key", INT_KEYS)
     def test_int_key_takes_integral_float(self, key):
@@ -329,6 +356,24 @@ class TestRunTrial:
             finally:
                 tracemalloc.stop()
             assert peak < one_matrix / 2, (method, peak)
+
+    def test_long_block_holds_at_most_two_blocks_and_a_half(self):
+        # With B = 64, U = 8 and 20,000 symbols one (B, n) complex block is
+        # 20.5 MB. The data path holds at most two at once (the received
+        # block and its transform or quantized copy) plus the transmitted
+        # bits, a quarter block: 2.38 blocks measured. A stage that builds
+        # block-sized temporaries goes over.
+        cfg = smoke_cfg(realizations=1, symbols=20000)
+        block = 64 * 20000 * np.dtype(complex).itemsize
+        for method in METHODS:
+            run_trial(cfg, method, 10.0, 0)
+            tracemalloc.start()
+            try:
+                run_trial(cfg, method, 10.0, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * block, (method, peak / block)
 
     def test_no_per_cluster_primitives_in_a_trial(self, monkeypatch):
         # Reflector design, application and AGC work on whole (C, S) arrays;
@@ -558,6 +603,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["--paths", "two"])
         assert "paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+    def test_double_dash_path_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            config_from_argv([f"{flag}=--"])
+        assert exc.value.code == 2
+        key = flag[2:].replace("-", "_")
+        assert f"bad value for key '{key}'" in capsys.readouterr().err
 
     def test_bad_flag_value_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit):
