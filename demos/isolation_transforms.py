@@ -21,23 +21,23 @@ from hdrmimo import (
     realize_channel,
     simulate_training,
 )
-from hdrmimo.linalg import dominant_eigenpair, householder_matrix
+from hdrmimo.linalg import dominant_eigenpair
 
 cfg = ScenarioConfig(bs_antennas=64, ues=8, clusters=8, rho_db=30.0)
 s = cfg.antennas_per_cluster
 rng = np.random.default_rng(3)
 
-real = realize_channel(cfg, rng)
-noise = noise_variance_from_msnr(real.h, 10.0)
+h = realize_channel(cfg, rng)
+noise = noise_variance_from_msnr(h, 10.0)
 pilots = generate_pilots(cfg.ues, 8)
-y_train = simulate_training(real.h, pilots, noise, rng)
+y_train = simulate_training(h, pilots, noise, rng)
 est = estimate_from_training(y_train, pilots, cfg.clusters)
 print(f"strongest user (true column 0) estimated as column {est.strong_index}")
 
 iso = design_hr_iso(est.h_strong, cfg.clusters)
 hmax = design_hr_max(est.c_y_blocks)
 
-h1 = real.h[:, 0]
+h1 = h[:, 0]
 print("\nstrong-user energy fraction on each cluster's first output:")
 for name, t in (("no transform", None), ("channel-based", iso), ("covariance-based", hmax)):
     ht = h1 if t is None else apply_transform(t, h1)
@@ -54,11 +54,12 @@ out = apply_transform(iso, est.h_strong)[:s]
 print("\nisolated energy check (cluster 0):")
 print(f"  |first output|^2 = {abs(out[0])**2:.6f}   ||a||^2 = {np.linalg.norm(a)**2:.6f}")
 
-# The covariance-based reflector pins the cluster's top eigenvalue on
-# output 1 of the transformed covariance.
+# The covariance-based reflector Q = I - 2 v v^H / ||v||^2 pins the
+# cluster's top eigenvalue on output 1 of the transformed covariance.
 block = est.c_y_blocks[0]
 top, _ = dominant_eigenpair(block)
-q = householder_matrix(hmax.vectors[0])
+v = hmax.vectors[0]
+q = np.eye(s, dtype=complex) - (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj())
 isolated = float(np.real(q[:, 0].conj() @ block @ q[:, 0]))
 print("isolated power check (cluster 0):")
 print(f"  e1^H Q C Q e1 = {isolated:.6f}   lambda_1 = {top:.6f}")

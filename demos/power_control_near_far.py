@@ -22,7 +22,7 @@ print("  ", np.round(raw_db, 2))
 print(f"  raw spread: {raw_db.max() - raw_db.min():.2f} dB")
 
 strong = int(np.argmax(raw_db))
-rest = np.array([u for u in range(cfg.ues) if u != strong])
+rest = np.delete(np.arange(cfg.ues), strong)
 d_rest = apply_power_control(g, cfg.dr_limit_db, rest)
 ctrl_db = raw_db[rest] + 20 * np.log10(d_rest)
 print(f"\nuser {strong} is the strongest and skips power control")
@@ -33,14 +33,14 @@ print(
     f" (ceiling {cfg.dr_limit_db} dB)"
 )
 
-real = realize_channel(cfg, np.random.default_rng(42))
-powers = np.sum(np.abs(real.h) ** 2, axis=0)
+h = realize_channel(cfg, np.random.default_rng(42))
+powers = np.sum(np.abs(h) ** 2, axis=0)
 eff_db = 10 * np.log10(powers)
 print("\nassembled effective channel (columns sorted by power) [dB]:")
 print("  ", np.round(eff_db - eff_db.min(), 2))
 print(f"  strongest vs weakest: {eff_db[0] - eff_db[-1]:.4f} dB (target {cfg.rho_db})")
 
 wsu = realize_channel(cfg, np.random.default_rng(42), power_control_all=True)
-wsu_db = 10 * np.log10(np.sum(np.abs(wsu.h) ** 2, axis=0))
+wsu_db = 10 * np.log10(np.sum(np.abs(wsu) ** 2, axis=0))
 print("\nfully power-controlled variant (no boosted user) [dB]:")
 print("  ", np.round(wsu_db - wsu_db.min(), 2))

@@ -8,7 +8,6 @@ a Bussgang-linearized LMMSE equalizer.
 """
 
 from .channel import (
-    ChannelRealization,
     NoiseModel,
     ScenarioConfig,
     generate_channel,
@@ -54,7 +53,6 @@ from .linalg import (
     dominant_eigenpair,
     hadamard,
     householder_apply,
-    householder_matrix,
     posdef_inverse_apply,
 )
 from .training import (

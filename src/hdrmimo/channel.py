@@ -75,22 +75,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One channel draw: power-control gains and the effective channel.
-
-    ``h = g * diag(gains)`` for the propagation channel ``g``, with columns
-    (and gains) sorted by descending norm, so the strongest user is always
-    column 0. Users clipped by the power-control window have equal norms in
-    exact arithmetic, so floating-point rounding sets their relative column
-    order, and that order can differ between machines (numpy picks its SIMD
-    kernels per CPU).
-    """
-
-    gains: np.ndarray  # (U,) power-control amplitudes d_u
-    h: np.ndarray  # (B, U) effective channel, columns sorted by norm
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Per-entry complex noise variance (linear power); 0 means noiseless."""
 
@@ -201,14 +185,17 @@ def realize_channel(
     cfg: ScenarioConfig,
     rng: np.random.Generator,
     power_control_all: bool = False,
-) -> ChannelRealization:
-    """Draw a channel and assemble the power-controlled effective matrix.
+) -> np.ndarray:
+    """Draw a channel and return the (B, U) power-controlled effective channel.
 
-    In the default (high dynamic range) mode, the user with the largest raw
-    channel norm is boosted to ``cfg.rho_db`` above the weakest controlled
-    user, while the remaining users obey the ``cfg.dr_limit_db`` control
-    rule. With ``power_control_all`` every user is controlled and no boost
-    is applied. Columns are sorted by descending effective norm.
+    The effective channel is ``g * diag(d)`` for the propagation channel
+    ``g`` and the power-control amplitudes ``d``. In the default (high
+    dynamic range) mode, the user with the largest raw channel norm is
+    boosted to ``cfg.rho_db`` above the weakest controlled user, while the
+    remaining users obey the ``cfg.dr_limit_db`` control rule. With
+    ``power_control_all`` every user is controlled and no boost is applied.
+    Columns are sorted by descending effective norm, so the strongest user
+    is always column 0.
 
     Every user the control rule clips ends up at the same receive power in
     exact arithmetic, so the sort breaks those ties by the last bits of the
@@ -225,13 +212,13 @@ def realize_channel(
     else:
         col_powers = np.sum(np.abs(g) ** 2, axis=0)
         strong = int(np.argmax(col_powers))
-        rest = np.array([i for i in range(u) if i != strong])
+        rest = np.delete(np.arange(u), strong)
         gains[rest] = apply_power_control(g, cfg.dr_limit_db, rest)
         weakest = float(np.min(gains[rest] ** 2 * col_powers[rest]))
         gains[strong] = set_strong_ue_gain(g[:, strong], weakest, cfg.rho_db)
     h = g * gains[None, :]
     order = np.argsort(-np.sum(np.abs(h) ** 2, axis=0), kind="stable")
-    return ChannelRealization(gains=gains[order], h=h[:, order])
+    return h[:, order]
 
 
 def noise_variance_from_msnr(h: np.ndarray, msnr_db: float) -> NoiseModel:

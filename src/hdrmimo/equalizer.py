@@ -33,12 +33,22 @@ def modulate(bits: np.ndarray) -> np.ndarray:
     """Map a bit vector (length 4n) to n Gray-coded 16-QAM symbols.
 
     Each group of 4 bits indexes a 16-entry table of the symbols
-    ``QAM16_LEVELS[i] + 1j*QAM16_LEVELS[q]``; the only allocations are the
-    n indices and the n symbols.
+    ``QAM16_LEVELS[i] + 1j*QAM16_LEVELS[q]``; for integer input the only
+    allocations are the n indices and the n symbols. Any value other than
+    0 or 1 (negative, above 1, fractional or NaN) raises ValueError.
     """
-    bits = np.asarray(bits, dtype=int).reshape(-1)
-    if bits.size % 4 != 0:
-        raise ValueError(f"bit count must be a multiple of 4, got {bits.size}")
+    values = np.asarray(bits).reshape(-1)
+    if values.size % 4 != 0:
+        raise ValueError(f"bit count must be a multiple of 4, got {values.size}")
+    bits = values.astype(int, copy=False)
+    # Within [0, 1], and no fractional value truncated to 0 by the cast:
+    # whole-array reductions, no temporaries.
+    if values.size and not (
+        values.min() >= 0
+        and values.max() <= 1
+        and np.count_nonzero(bits) == np.count_nonzero(values)
+    ):
+        raise ValueError("bits must be 0 or 1")
     return _SYMBOLS[bits.reshape(-1, 4) @ _BIT_WEIGHTS]
 
 

@@ -18,14 +18,15 @@ class SpatialTransform:
     """Block-diagonal spatial transform with one reflector per antenna cluster.
 
     ``vectors`` is a (C, S) complex array whose row c is the Householder
-    normal of cluster c; an all-zero row marks a passthrough (identity)
-    cluster. Every block is unitary, so the transform preserves vector
-    norms. The array is copied and made read-only on construction.
+    normal v_c of cluster c; cluster c applies I - w_c v_c v_c^H with the
+    weight w_c = 2/||v_c||^2, or w_c = 0 for an all-zero row, which makes
+    that cluster a passthrough (identity). Every block is unitary, so the
+    transform preserves vector norms. The array is copied and made
+    read-only on construction.
     """
 
     vectors: np.ndarray
-    # Rows that reflect (a slice when all do) and their 2 / ||v||^2.
-    _rows: slice | np.ndarray = field(init=False, repr=False, compare=False)
+    # Per-row weights 2 / ||v||^2, 0 for a passthrough row.
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -45,10 +46,9 @@ class SpatialTransform:
                 "floating-point range"
             )
         vectors.flags.writeable = False
-        rows = slice(None) if active.all() else np.flatnonzero(active)
+        weights = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=active)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_weights", 2.0 / nrm2[rows])
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def clusters(self) -> int:
@@ -64,7 +64,7 @@ class SpatialTransform:
 
     @property
     def is_identity(self) -> bool:
-        return self._weights.size == 0
+        return not self._weights.any()
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,14 @@ def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
 def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     """Apply the block-diagonal transform to a vector or to matrix columns.
 
-    Each cluster's output depends only on that cluster's input: all
+    Each cluster's output depends only on that cluster's input: all C
     clusters are reflected at once by the batched rank-1 update
-    x - (2/||v||^2) v (v^H x) on the (C, S, n) view of ``y``; the dense
-    matrix is never formed, and passthrough clusters are not touched.
+    x - w v (v^H x) on the (C, S, n) view of ``y``, and the dense matrix is
+    never formed. The result is one new output-sized array, except for the
+    identity transform, which returns ``y`` itself (as a complex array)
+    without copying: callers must not write to the result of an identity.
+    A passthrough row has w = 0, so for finite input its output equals its
+    input exactly.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape[0] != transform.dim:
@@ -190,21 +194,15 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
             f"{transform.dim}"
         )
     if transform.is_identity:
-        return y.copy()
-    rows, w = transform._rows, transform._weights
-    v = transform.vectors[rows]
-    shape = (transform.clusters, transform.block_size, -1)
-    x = y.reshape(shape)[rows]
+        return y
+    v, w = transform.vectors, transform._weights
+    x = y.reshape(transform.clusters, transform.block_size, -1)
     coef = v.conj()[:, None, :] @ x
     coef *= w[:, None, None]
     # One output-sized buffer: the update, then x minus it in place.
     reflected = v[:, :, None] * coef
     np.subtract(x, reflected, out=reflected)
-    if len(w) == transform.clusters:
-        return reflected.reshape(y.shape)
-    out = y.copy()
-    out.reshape(shape)[rows] = reflected
-    return out
+    return reflected.reshape(y.shape)
 
 
 def _cell_edges(q: int, delta: float) -> np.ndarray:
@@ -314,14 +312,16 @@ def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:
 
     The diagonal of F C_y F^H depends only on the diagonal blocks of C_y,
     so ``c_blocks`` is the (C, S, S) stack of those blocks, one per
-    cluster. For a reflector H = I - w v v^H with w = 2/||v||^2 and
-    p = C v, the diagonal of H C H is, entrywise,
+    cluster. For a reflector H = I - w v v^H with the transform's weight w
+    and p = C v, the diagonal of H C H is, entrywise,
 
         C_ss - 2w Re(v_s conj(p_s)) + w^2 |v_s|^2 Re(v^H p),
 
-    evaluated for all clusters at once. Diagonal entries are floored at a
-    small fraction of the average power before inversion so numerically
-    dead dimensions cannot produce infinite gains.
+    evaluated for all clusters at once. A passthrough cluster has v = 0 and
+    w = 0, so for finite blocks its correction term is exactly zero and its
+    gains come from C_ss alone. Diagonal entries are floored at a small
+    fraction of the average power before inversion so numerically dead
+    dimensions cannot produce infinite gains.
     """
     c_blocks = np.asarray(c_blocks, dtype=complex)
     s = transform.block_size
@@ -330,16 +330,13 @@ def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:
             f"AGC needs a (C, S, S) = ({transform.clusters}, {s}, {s}) stack of "
             f"covariance blocks for this transform, got shape {c_blocks.shape}"
         )
-    diag = np.diagonal(c_blocks, axis1=1, axis2=2).real.copy()
-    if not transform.is_identity:
-        rows, w = transform._rows, transform._weights
-        v = transform.vectors[rows]
-        p = (c_blocks[rows] @ v[:, :, None])[:, :, 0]
-        vhp = np.sum(v.conj() * p, axis=1).real
-        diag[rows] += (
-            (w**2 * vhp)[:, None] * (v.real**2 + v.imag**2)
-            - 2.0 * w[:, None] * (v * p.conj()).real
-        )
+    v, w = transform.vectors, transform._weights
+    p = (c_blocks @ v[:, :, None])[:, :, 0]
+    vhp = np.sum(v.conj() * p, axis=1).real
+    diag = np.diagonal(c_blocks, axis1=1, axis2=2).real + (
+        (w**2 * vhp)[:, None] * (v.real**2 + v.imag**2)
+        - 2.0 * w[:, None] * (v * p.conj()).real
+    )
     diag = diag.reshape(-1)
     floor = 1e-12 * diag.sum() / diag.size
     if floor <= 0.0:
@@ -352,10 +349,11 @@ def adc(
 ) -> np.ndarray:
     """AGC scaling followed by midrise quantization of both real dimensions.
 
-    Accepts a length-B vector or a (B, n) block of receive vectors and
-    leaves it unchanged. Allocates one output-sized buffer, the scaled
-    samples ``y_tilde * omega``, and quantizes its interleaved float view
-    in place, bit for bit as ``midrise`` of that view would.
+    Accepts a length-B vector or a (B, n) block of receive vectors in any
+    memory layout and leaves it unchanged. Allocates one C-ordered
+    output-sized buffer, the scaled samples ``y_tilde * omega``, and
+    quantizes its interleaved float view in place, bit for bit as
+    ``midrise`` of that view would.
     """
     y_tilde = np.asarray(y_tilde, dtype=complex)
     omega = gains.omega
@@ -364,6 +362,8 @@ def adc(
             f"input dimension {y_tilde.shape[0]} does not match gain count "
             f"{omega.shape[0]}"
         )
-    scaled = y_tilde * (omega if y_tilde.ndim == 1 else omega[:, None])
+    scaled = np.multiply(
+        y_tilde, omega if y_tilde.ndim == 1 else omega[:, None], order="C"
+    )
     _midrise_inplace(scaled.view(float), quant.delta, quant.q)
     return scaled

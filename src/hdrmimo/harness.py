@@ -181,11 +181,11 @@ def run_trial(
         raise ValueError(f"unknown method '{method}'")
     rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
 
-    realization = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
-    noise = noise_variance_from_msnr(realization.h, msnr_db)
+    h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
+    noise = noise_variance_from_msnr(h, msnr_db)
 
     pilots = generate_pilots(cfg.ues, cfg.pilot_length())
-    y_train = simulate_training(realization.h, pilots, noise, rng)
+    y_train = simulate_training(h, pilots, noise, rng)
     if cfg.quantized_training and method != "perfect":
         y_train = _quantized_training_block(y_train, cfg.clusters, cfg.q_bits)
     est = estimate_from_training(y_train, pilots, cfg.clusters)
@@ -208,7 +208,7 @@ def run_trial(
     nbits = 4 * cfg.ues
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, nbits))
     s_block = modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T
-    y_block = observe(realization.h, s_block, noise, rng)
+    y_block = observe(h, s_block, noise, rng)
     del s_block
 
     if method == "perfect":

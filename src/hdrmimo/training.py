@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel, complex_noise
+from .channel import NoiseModel, observe
 from .linalg import hadamard, posdef_inverse_apply
 
 
@@ -39,12 +39,14 @@ def simulate_training(
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Unquantized training observations H @ S_T + N_T."""
-    if pilots.shape[0] != h.shape[1]:
-        raise ValueError(
-            f"pilot rows {pilots.shape[0]} do not match user count {h.shape[1]}"
-        )
-    return h @ pilots + complex_noise(rng, (h.shape[0], pilots.shape[1]), noise.n0)
+    """Unquantized training observations H @ S_T + N_T.
+
+    The (B, K) block that ``observe`` receives for the (U, K) pilot block,
+    bit for bit ``h @ pilots + complex_noise(rng, (B, K), noise.n0)`` from
+    the same draws of ``rng``. A pilot block whose row count is not U
+    raises ValueError.
+    """
+    return observe(h, pilots, noise, rng)
 
 
 def ls_channel_estimate(y_train: np.ndarray, pilots: np.ndarray) -> np.ndarray:

@@ -204,16 +204,16 @@ def test_criterion_5_fine_quantization_matches_unquantized():
     rng = np.random.default_rng(1005)
     q_err = p_err = total = 0
     for _ in range(40):
-        real = realize_channel(scen, rng, power_control_all=True)
-        noise = noise_variance_from_msnr(real.h, msnr_db)
-        c_y = real.h @ real.h.conj().T + noise.n0 * np.eye(32)
+        h = realize_channel(scen, rng, power_control_all=True)
+        noise = noise_variance_from_msnr(h, msnr_db)
+        c_y = h @ h.conj().T + noise.n0 * np.eye(32)
         blocks = c_y.reshape(4, 8, 4, 8)[np.arange(4), :, np.arange(4), :]
         gains = compute_agc(blocks, ident)
-        eq_q = build_lmmse(real.h, ident, gains, quant, noise.n0)
-        eq_p = build_unquantized_lmmse(real.h, noise.n0)
+        eq_q = build_lmmse(h, ident, gains, quant, noise.n0)
+        eq_p = build_unquantized_lmmse(h, noise.n0)
         bits = rng.integers(0, 2, size=(200, 16))
         s = modulate(bits.reshape(-1)).reshape(200, 4).T
-        y = observe(real.h, s, noise, rng)
+        y = observe(h, s, noise, rng)
         r = adc(y, gains, quant)
         e, n = count_bit_errors(
             bits.reshape(-1), hard_slice(equalize(eq_q, r).T.reshape(-1))

@@ -146,8 +146,8 @@ class TestRealizeChannel:
     def test_columns_sorted_and_dynamic_range_exact(self):
         cfg = small_cfg()
         for seed in range(20):
-            real = realize_channel(cfg, np.random.default_rng(seed))
-            powers = np.sum(np.abs(real.h) ** 2, axis=0)
+            h = realize_channel(cfg, np.random.default_rng(seed))
+            powers = np.sum(np.abs(h) ** 2, axis=0)
             assert np.all(np.diff(powers) <= 1e-12)
             rho = 10.0 * np.log10(powers[0] / powers[-1])
             assert np.isclose(rho, cfg.rho_db, atol=1e-9)
@@ -158,18 +158,25 @@ class TestRealizeChannel:
 
     def test_power_control_all_mode(self):
         cfg = small_cfg()
-        real = realize_channel(cfg, np.random.default_rng(5), power_control_all=True)
-        powers = np.sum(np.abs(real.h) ** 2, axis=0)
+        h = realize_channel(cfg, np.random.default_rng(5), power_control_all=True)
+        powers = np.sum(np.abs(h) ** 2, axis=0)
         spread_db = 10.0 * np.log10(powers.max() / powers.min())
         assert spread_db <= cfg.dr_limit_db + 1e-9
+
+    @pytest.mark.parametrize("power_control_all", [False, True])
+    def test_returns_the_effective_channel_matrix(self, power_control_all):
+        cfg = small_cfg()
+        h = realize_channel(cfg, np.random.default_rng(3), power_control_all)
+        assert isinstance(h, np.ndarray)
+        assert h.shape == (cfg.bs_antennas, cfg.ues)
+        assert h.dtype == complex
 
     def test_pure_function_of_seed(self):
         cfg = small_cfg()
         a = realize_channel(cfg, np.random.default_rng(11))
         b = realize_channel(cfg, np.random.default_rng(11))
-        assert np.array_equal(a.h, b.h)
-        assert np.array_equal(a.gains, b.gains)
-        norms = np.linalg.norm(a.h, axis=0)
+        assert np.array_equal(a, b)
+        norms = np.linalg.norm(a, axis=0)
         assert np.all(norms[0] >= norms[1:])
 
 

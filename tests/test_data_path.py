@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hdrmimo import channel, training
+from hdrmimo import channel
 from hdrmimo.channel import (
     NoiseModel,
     complex_noise,
@@ -46,6 +46,7 @@ from hdrmimo.training import (
     covariance_blocks,
     estimate_from_training,
     generate_pilots,
+    simulate_training,
 )
 
 _PAIR_TO_LEVEL = np.array([0, 1, 3, 2])  # indexed by 2*b0 + b1
@@ -61,6 +62,11 @@ def reference_observe(h, s, noise, rng):
     s = np.asarray(s)
     out_shape = (h.shape[0],) if s.ndim == 1 else (h.shape[0], s.shape[1])
     return h @ s + reference_complex_noise(rng, out_shape, noise.n0)
+
+
+def reference_training(h, pilots, noise, rng):
+    noise_shape = (h.shape[0], pilots.shape[1])
+    return h @ pilots + reference_complex_noise(rng, noise_shape, noise.n0)
 
 
 def reference_modulate(bits):
@@ -102,17 +108,16 @@ def reference_adc(y_tilde, gains, quant):
 def reference_run_trial(cfg, method, msnr_db, realization_index):
     """The trial body with every data-path stage replaced by its reference.
 
-    The channel and training draws go through ``reference_complex_noise``
-    too, patched in where those modules look the function up.
+    The channel draw goes through ``reference_complex_noise`` too, patched
+    in where ``channel`` looks the function up.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(channel, "complex_noise", reference_complex_noise)
-        patch.setattr(training, "complex_noise", reference_complex_noise)
         rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
-        realization = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
-        noise = noise_variance_from_msnr(realization.h, msnr_db)
-        pilots = generate_pilots(cfg.ues, cfg.pilot_length())
-        y_train = training.simulate_training(realization.h, pilots, noise, rng)
+        h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
+    noise = noise_variance_from_msnr(h, msnr_db)
+    pilots = generate_pilots(cfg.ues, cfg.pilot_length())
+    y_train = reference_training(h, pilots, noise, rng)
     if cfg.quantized_training and method != "perfect":
         ident = identity_transform(y_train.shape[0], cfg.clusters)
         gains = compute_agc(covariance_blocks(y_train, cfg.clusters), ident)
@@ -136,7 +141,7 @@ def reference_run_trial(cfg, method, msnr_db, realization_index):
 
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
     s_block = reference_modulate(tx_bits.reshape(-1)).reshape(cfg.symbols, cfg.ues).T
-    y_block = reference_observe(realization.h, s_block, noise, rng)
+    y_block = reference_observe(h, s_block, noise, rng)
     if method == "perfect":
         r_block = y_block
     else:
@@ -197,6 +202,17 @@ class TestNoise:
         rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
         out = observe(h, s, NoiseModel(n0), rng)
         assert_same_floats(out, reference_observe(h, s, NoiseModel(n0), ref_rng))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("u, k", [(8, 8), (32, 32), (3, 4)])
+    def test_simulate_training(self, u, k):
+        rng = np.random.default_rng(28)
+        h = random_complex(rng, 64, u)
+        pilots = generate_pilots(u, k)
+        rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+        out = simulate_training(h, pilots, NoiseModel(0.07), rng)
+        ref = reference_training(h, pilots, NoiseModel(0.07), ref_rng)
+        assert_same_floats(out, ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_observe_of_real_product(self):
@@ -260,6 +276,24 @@ class TestQuantizer:
         assert_same_floats(block, before)  # the input is left as it was
         vec = block[:, 0].copy()
         assert_same_floats(adc(vec, gains, quant), reference_adc(vec, gains, quant))
+
+    def test_adc_of_any_memory_layout(self):
+        # Blocks that are not C-contiguous give the bits of their C-ordered
+        # copy, in a C-ordered output.
+        quant = design_quantizer(3)
+        rng = np.random.default_rng(30)
+        gains = AgcGains(rng.uniform(0.1, 10.0, 8))
+        wide = random_complex(rng, 16, 300) * 2.0
+        for y in (
+            np.asfortranarray(wide[:8]),
+            random_complex(rng, 300, 8).T,
+            wide[::2, ::3],
+            wide[::2, 0],
+        ):
+            assert not y.flags.c_contiguous
+            out = adc(y, gains, quant)
+            assert out.flags.c_contiguous
+            assert_same_floats(out, adc(np.ascontiguousarray(y), gains, quant))
 
 
 class TestHardSlice:

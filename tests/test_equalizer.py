@@ -23,7 +23,7 @@ from hdrmimo.frontend import (
     design_quantizer,
     identity_transform,
 )
-from hdrmimo.linalg import householder_matrix
+from oracles import householder_matrix
 
 
 def random_complex(rng, *shape):
@@ -99,6 +99,21 @@ class TestConstellation:
     def test_bit_length_validation(self):
         with pytest.raises(ValueError):
             modulate([0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[0, 0, 0, -1], [0, 0, 0, 2], [0, 0, 0, 0.5], np.r_[np.zeros(29), 1, 1, np.nan]],
+    )
+    def test_rejects_values_that_are_not_bits(self, bits):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="0 or 1"):
+            modulate(bits)
+
+    def test_bits_of_any_numeric_type(self):
+        bits = np.array([1, 0, 0, 1, 0, 1, 1, 1])
+        expected = modulate(bits)
+        for same in (bits.astype(float), bits.astype(bool), bits.astype(np.uint8)):
+            assert np.array_equal(modulate(same), expected)
+        assert modulate([]).shape == (0,)
 
     def test_levels_constant(self):
         assert np.allclose(QAM16_LEVELS * np.sqrt(10.0), [-3, -1, 1, 3])

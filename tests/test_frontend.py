@@ -23,12 +23,8 @@ from hdrmimo.frontend import (
     optimal_step_size,
     quantizer_mse,
 )
-from hdrmimo.linalg import (
-    complex_sign,
-    dominant_eigenpair,
-    householder_apply,
-    householder_matrix,
-)
+from hdrmimo.linalg import dominant_eigenpair, householder_apply
+from oracles import complex_sign, householder_matrix
 
 
 def random_complex(rng, *shape):
@@ -429,6 +425,26 @@ class TestDataPathMemory:
         y = random_complex(rng, 64, 20000)
         t = design_hr_iso(random_complex(rng, 64), 8)
         assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 1.2
+
+    def test_apply_identity_returns_its_input(self):
+        rng = np.random.default_rng(17)
+        y = random_complex(rng, 64, 20000)
+        t = identity_transform(64, 8)
+        assert apply_transform(t, y) is y
+        assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 0.01
+
+    def test_apply_with_passthrough_rows_allocates_one_output(self):
+        # Reflecting and passthrough clusters share one pass: no copy of
+        # the input, no gather of the reflecting rows.
+        rng = np.random.default_rng(18)
+        y = random_complex(rng, 64, 20000)
+        h = random_complex(rng, 8, 8)
+        h[[1, 4, 5]] = 0.0
+        t = design_hr_iso(h.reshape(-1), 8)
+        assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 1.2
+        out = apply_transform(t, y).reshape(8, 8, -1)
+        assert np.array_equal(out[[1, 4, 5]], y.reshape(8, 8, -1)[[1, 4, 5]])
+        assert not np.allclose(out[0], y[:8])
 
     def test_adc_allocates_one_block(self):
         # The scaled copy, quantized in place, is the output; the slack of

@@ -147,8 +147,7 @@ class TestConfig:
         )
         a = realize_channel(cfg, np.random.default_rng(4))
         b = realize_channel(scenario, np.random.default_rng(4))
-        assert np.array_equal(a.h, b.h)
-        assert np.array_equal(a.gains, b.gains)
+        assert np.array_equal(a, b)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(cfg=experiment_configs())

@@ -190,9 +190,9 @@ class TestStrongestUeIndex:
         trials = 1000
         rng = np.random.default_rng(9)
         for _ in range(trials):
-            real = realize_channel(cfg, rng)
-            noise = noise_variance_from_msnr(real.h, 0.0)
-            y = simulate_training(real.h, pilots, noise, rng)
+            h = realize_channel(cfg, rng)
+            noise = noise_variance_from_msnr(h, 0.0)
+            y = simulate_training(h, pilots, noise, rng)
             est = estimate_from_training(y, pilots, cfg.clusters)
             hits += est.strong_index == 0
         assert hits / trials >= 0.99
