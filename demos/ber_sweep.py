@@ -2,7 +2,8 @@
 
 Runs all five receive strategies over an MSNR grid on a 64-antenna,
 8-user scenario with a 30 dB dynamic range and 3-bit converters, prints the
-BER table, and writes the CSV plus a gnuplot script next to this file.
+BER table (the run time goes to stderr), and writes the CSV plus a gnuplot
+script next to this file.
 
 The command-line interface runs the same sweep:
 
@@ -12,6 +13,7 @@ The command-line interface runs the same sweep:
 """
 
 import pathlib
+import sys
 import time
 
 from hdrmimo import ExperimentConfig, emit_plot_script, run_sweep, write_csv
@@ -33,7 +35,9 @@ cfg = ExperimentConfig(
 
 start = time.perf_counter()
 records = run_sweep(cfg)
-print(f"swept {len(records)} points in {time.perf_counter() - start:.1f} s\n")
+# The wall time goes to stderr, so stdout repeats byte for byte.
+elapsed = time.perf_counter() - start
+print(f"swept {len(records)} points in {elapsed:.1f} s", file=sys.stderr)
 
 grid = cfg.msnr_grid()
 print("msnr [dB]   " + "".join(f"{m:9.0f}" for m in grid))

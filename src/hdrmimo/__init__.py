@@ -49,19 +49,13 @@ from .harness import (
     run_trial,
     write_csv,
 )
-from .linalg import (
-    dominant_eigenpair,
-    hadamard,
-    householder_apply,
-    posdef_inverse_apply,
-)
+from .linalg import hadamard, posdef_inverse_apply
 from .training import (
     TrainingOutput,
     covariance_blocks,
     estimate_from_training,
     generate_pilots,
     ls_channel_estimate,
-    sample_covariance,
     simulate_training,
     strongest_ue_index,
 )

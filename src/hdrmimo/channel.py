@@ -3,23 +3,90 @@ median-SNR noise model."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+import numbers
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 
-def require_finite_floats(cfg) -> None:
-    """Reject a NaN or infinite value in any float field of a config dataclass.
+def _read_int(value) -> int:
+    # int(text) refuses "3.7" and "3.0"; a number must be integral, not a bool.
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
 
-    The ValueError names the offending key, so a bad value fails when the
-    config is built rather than later inside a trial.
-    """
-    for f in fields(cfg):
-        if f.type in (float, "float"):
-            value = getattr(cfg, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+def _read_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+_BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_BOOL_WORDS.update(dict.fromkeys(("0", "false", "no", "off"), False))
+
+
+def _read_bool(value) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, str) and value.strip().lower() in _BOOL_WORDS:
+        return _BOOL_WORDS[value.strip().lower()]
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _read_text(value) -> str:
+    # str() would turn any object into text: argparse hands over an empty
+    # list for the option value "--", which would name a file "[]".
+    if not isinstance(value, str):
+        raise ValueError(f"not text: {value!r}")
+    return value
+
+
+def _read_text_list(value) -> tuple:
+    if isinstance(value, str):
+        value = [m.strip() for m in value.split(",") if m.strip()]
+    elif not isinstance(value, Sequence):
+        raise ValueError(f"not a comma list or a sequence: {value!r}")
+    return tuple(_read_text(m) for m in value)
+
+
+# The reader for each declared field type. Text is read as a config file or
+# a flag gives it, so every route to a field takes the same values.
+_READERS = {
+    int: _read_int,
+    float: _read_float,
+    bool: _read_bool,
+    str: _read_text,
+    Optional[str]: lambda value: None if value is None else _read_text(value),
+    tuple[str, ...]: _read_text_list,
+}
+
+
+# The resolved field annotations of a config class, read once per class.
+_field_types = functools.cache(get_type_hints)
+
+
+def check_field_types(cfg) -> None:
+    """Read every field of a frozen config dataclass by the rule for its
+    declared type and store the result; a float must also be finite. A bad
+    value raises a ValueError that names the key."""
+    for name, kind in _field_types(type(cfg)).items():
+        value = getattr(cfg, name)
+        try:
+            value = _READERS[kind](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"bad value for key '{name}': {exc}") from exc
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(cfg, name, value)
 
 
 @dataclass(frozen=True)
@@ -32,6 +99,10 @@ class ScenarioConfig:
     paths per user with angles uniform in ``+-angle_sector_deg``, per-path
     powers decaying by ``path_decay_db`` per path, and log-normal shadowing
     of ``shadowing_std_db`` (median 1).
+
+    Each field is read by the rule for its declared type, alike for text
+    from a file or flag and for Python values (``check_field_types``), then
+    range-checked; a bad value raises a ValueError that names the key.
     """
 
     bs_antennas: int = 256
@@ -45,7 +116,7 @@ class ScenarioConfig:
     shadowing_std_db: float = 8.0
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
+        check_field_types(self)
         if self.bs_antennas < 1 or self.ues < 2:
             raise ValueError("need bs_antennas >= 1 and ues >= 2")
         if self.bs_antennas < self.ues:

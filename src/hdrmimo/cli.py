@@ -44,8 +44,8 @@ _HELP = {
 def build_parser() -> argparse.ArgumentParser:
     """One flag per ExperimentConfig field: ``--rho-db`` sets ``rho_db``.
 
-    Values stay text here; ``parse_config`` converts and validates them
-    exactly as it does config-file values.
+    Values stay text here; ``ExperimentConfig`` reads and checks them
+    exactly as it does config-file values and Python values.
     """
     p = argparse.ArgumentParser(
         prog="hdrmimo",

@@ -4,8 +4,8 @@ config parsing, CSV output, and plot-script emission."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -48,7 +48,9 @@ _MSNR_KEY_OFFSET = 1 << 40
 @dataclass(frozen=True)
 class ExperimentConfig(ScenarioConfig):
     """Full description of one BER sweep: the scenario fields it inherits
-    from ``ScenarioConfig`` plus the quantizer, methods, grid and budget."""
+    from ``ScenarioConfig`` plus the quantizer, methods, grid and budget,
+    all read and checked alike: ``quantized_training="no"`` is False, and
+    ``methods`` is a comma list or a sequence of distinct method names."""
 
     q_bits: int = 3
     methods: tuple[str, ...] = METHODS
@@ -69,11 +71,13 @@ class ExperimentConfig(ScenarioConfig):
             raise ValueError(f"q_bits must be in 1..12, got {self.q_bits}")
         if not self.methods:
             raise ValueError("methods list must be nonempty")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(
                     f"unknown method '{m}'; choose from {', '.join(METHODS)}"
                 )
+            if m in self.methods[:i]:
+                raise ValueError(f"methods lists '{m}' more than once")
         if self.msnr_step <= 0:
             raise ValueError(f"msnr_step must be positive, got {self.msnr_step}")
         if self.msnr_stop < self.msnr_start:
@@ -364,81 +368,12 @@ def emit_plot_script(
         fh.write(script + "\n")
 
 
-def _parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
-def _parse_int(value) -> int:
-    # int() alone would truncate 3.7 to 3 and read True as 1.
-    if isinstance(value, (bool, np.bool_)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
-def _parse_float(value) -> float:
-    # float() alone would read True as 1.0.
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"not a number: {value!r}")
-    return float(value)
-
-
-def _parse_text(value) -> str:
-    # str() alone would turn any object into text: argparse hands over an
-    # empty list for the option value "--", which would name a file "[]".
-    if not isinstance(value, str):
-        raise ValueError(f"not text: {value!r}")
-    return value
-
-
-def _parse_list(value) -> tuple:
-    if isinstance(value, str):
-        return tuple(m.strip() for m in value.split(",") if m.strip())
-    return tuple(value)
-
-
-def _parser_for(annotation):
-    # Text-to-value parser for one ExperimentConfig field; Optional[X]
-    # takes None or parses as X, and a tuple field parses as a comma list.
-    if annotation is bool:
-        return _parse_bool
-    if annotation is int:
-        return _parse_int
-    if annotation is float:
-        return _parse_float
-    if annotation is str:
-        return _parse_text
-    if get_origin(annotation) is tuple:
-        return _parse_list
-    (inner,) = [a for a in get_args(annotation) if a is not type(None)]
-    parse = _parser_for(inner)
-    return lambda value: None if value is None else parse(value)
-
-
-# Key -> parser for every ExperimentConfig field, read off the dataclass.
-_CONFIG_SCHEMA = {
-    name: _parser_for(annotation)
-    for name, annotation in get_type_hints(ExperimentConfig).items()
-}
-
-
-def _convert(key: str, value):
-    try:
-        return _CONFIG_SCHEMA[key](value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for key '{key}': {exc}") from exc
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` config file with '#' comments."""
+    """Read a flat ``key = value`` config file with '#' comments into
+    key -> stripped text; an unknown key raises a ValueError naming it."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -451,26 +386,25 @@ def load_config_file(path: str) -> dict:
                 )
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_SCHEMA:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key '{key}'")
-            values[key] = _convert(key, value.strip())
+            values[key] = value.strip()
     return values
 
 
 def parse_config(
     path: Optional[str] = None, overrides: Optional[dict] = None
 ) -> ExperimentConfig:
-    """Build a validated config from an optional file plus overrides.
+    """Build a config from an optional file plus overrides.
 
     Override values (e.g. from command-line flags) take precedence over the
-    file; unset fields keep their defaults. Unknown keys and malformed
-    values raise a ValueError naming the key.
+    file; unset fields keep their defaults. ``ExperimentConfig`` reads text
+    and Python values by the same rules; unknown keys and bad values raise
+    a ValueError naming the key.
     """
-    values: dict = {}
-    if path is not None:
-        values.update(load_config_file(path))
+    values = load_config_file(path) if path is not None else {}
     for key, value in (overrides or {}).items():
-        if key not in _CONFIG_SCHEMA:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown configuration key '{key}'")
-        values[key] = _convert(key, value)
+        values[key] = value
     return ExperimentConfig(**values)

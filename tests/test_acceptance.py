@@ -16,6 +16,7 @@ from hdrmimo.frontend import (
     optimal_step_size,
 )
 from hdrmimo.harness import ExperimentConfig, run_sweep, run_trial, write_csv
+from oracles import random_complex, reflected_first_coordinate
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -23,17 +24,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f"  [{detail}]" if detail else ""
     print(f"[criterion {num}] {name}: {status}{suffix}")
     assert ok, f"criterion {num} ({name}) failed{suffix}"
-
-
-def random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def reflected_first_coordinate(w, a):
-    """|e_1^H Q_w a| for a batch of reflector normals (columns of w)."""
-    coef = w.conj().T @ a
-    norms = np.sum(np.abs(w) ** 2, axis=0)
-    return np.abs(a[0] - 2.0 * w[0] * coef / norms)
 
 
 def reflected_basis_vector(w):

@@ -48,6 +48,7 @@ from hdrmimo.training import (
     generate_pilots,
     simulate_training,
 )
+from oracles import random_complex
 
 _PAIR_TO_LEVEL = np.array([0, 1, 3, 2])  # indexed by 2*b0 + b1
 _LEVEL_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
@@ -163,10 +164,6 @@ def assert_same_floats(a, b):
     assert np.array_equal(a, b, equal_nan=True)
     number = ~np.isnan(a)
     assert np.array_equal(np.signbit(a[number]), np.signbit(b[number]))
-
-
-def random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def with_neighbours(x):

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hdrmimo.equalizer import (
     QAM16_LEVELS,
@@ -23,27 +22,7 @@ from hdrmimo.frontend import (
     design_quantizer,
     identity_transform,
 )
-from oracles import householder_matrix
-
-
-def random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def diagonal_blocks(c, clusters):
-    """(C, S, S) stack of the diagonal blocks of a B x B matrix."""
-    s = c.shape[0] // clusters
-    idx = np.arange(clusters)
-    return c.reshape(clusters, s, clusters, s)[idx, :, idx, :]
-
-
-def dense_transform_matrix(transform):
-    return scipy.linalg.block_diag(
-        *[
-            householder_matrix(v) if np.any(v) else np.eye(transform.block_size)
-            for v in transform.vectors
-        ]
-    )
+from oracles import dense_transform_matrix, diagonal_blocks, random_complex
 
 
 def dense_lmmse_oracle(h, transform, gains, quant, n0):

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -24,33 +23,14 @@ from hdrmimo.frontend import (
     quantizer_mse,
 )
 from hdrmimo.linalg import dominant_eigenpair, householder_apply
-from oracles import complex_sign, householder_matrix
-
-
-def random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def diagonal_blocks(c, clusters):
-    """(C, S, S) stack of the diagonal blocks of a B x B matrix."""
-    s = c.shape[0] // clusters
-    idx = np.arange(clusters)
-    return c.reshape(clusters, s, clusters, s)[idx, :, idx, :]
-
-
-def dense_transform_matrix(transform):
-    blocks = [
-        householder_matrix(v) if np.any(v) else np.eye(transform.block_size)
-        for v in transform.vectors
-    ]
-    return scipy.linalg.block_diag(*blocks)
-
-
-def reflected_first_coordinate(w, a):
-    """|e_1^H Q_w a| for a batch of reflector normals w (columns of w)."""
-    coef = w.conj().T @ a
-    norms = np.sum(np.abs(w) ** 2, axis=0)
-    return np.abs(a[0] - 2.0 * w[0] * coef / norms)
+from oracles import (
+    complex_sign,
+    dense_transform_matrix,
+    diagonal_blocks,
+    householder_matrix,
+    random_complex,
+    reflected_first_coordinate,
+)
 
 
 class TestHrIsoDesign:

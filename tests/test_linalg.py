@@ -7,11 +7,7 @@ from hdrmimo.linalg import (
     householder_apply,
     posdef_inverse_apply,
 )
-from oracles import complex_sign, householder_matrix
-
-
-def random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import complex_sign, householder_matrix, random_complex
 
 
 class TestComplexSign:

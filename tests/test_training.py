@@ -11,17 +11,11 @@ from hdrmimo.training import (
     simulate_training,
     strongest_ue_index,
 )
+from oracles import diagonal_blocks
 
 
 def random_channel(rng, b, u):
     return rng.standard_normal((b, u)) + 1j * rng.standard_normal((b, u))
-
-
-def diagonal_blocks(c, clusters):
-    """(C, S, S) stack of the diagonal blocks of a B x B matrix."""
-    s = c.shape[0] // clusters
-    idx = np.arange(clusters)
-    return c.reshape(clusters, s, clusters, s)[idx, :, idx, :]
 
 
 class TestGeneratePilots:
