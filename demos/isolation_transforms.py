@@ -33,7 +33,8 @@ y_train = simulate_training(h, pilots, noise, rng)
 est = estimate_from_training(y_train, pilots, cfg.clusters)
 print(f"strongest user (true column 0) estimated as column {est.strong_index}")
 
-iso = design_hr_iso(est.h_strong, cfg.clusters)
+h_strong = est.h_hat[:, est.strong_index]
+iso = design_hr_iso(h_strong, cfg.clusters)
 hmax = design_hr_max(est.c_y_blocks)
 
 h1 = h[:, 0]
@@ -48,8 +49,8 @@ for name, t in (("no transform", None), ("channel-based", iso), ("covariance-bas
     print(f"  {name:17s} min {frac.min():.4f}  mean {frac.mean():.4f}")
 
 # The reflector built from a vector a sends all of a's energy to output 1.
-a = est.h_strong[:s]
-out = apply_transform(iso, est.h_strong)[:s]
+a = h_strong[:s]
+out = apply_transform(iso, h_strong)[:s]
 print("\nisolated energy check (cluster 0):")
 print(f"  |first output|^2 = {abs(out[0])**2:.6f}   ||a||^2 = {np.linalg.norm(a)**2:.6f}")
 

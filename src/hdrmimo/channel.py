@@ -30,18 +30,6 @@ def _read_float(value) -> float:
     return float(value)
 
 
-_BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True)
-_BOOL_WORDS.update(dict.fromkeys(("0", "false", "no", "off"), False))
-
-
-def _read_bool(value) -> bool:
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, str) and value.strip().lower() in _BOOL_WORDS:
-        return _BOOL_WORDS[value.strip().lower()]
-    raise ValueError(f"not a boolean: {value!r}")
-
-
 def _read_text(value) -> str:
     # str() would turn any object into text: argparse hands over an empty
     # list for the option value "--", which would name a file "[]".
@@ -63,7 +51,6 @@ def _read_text_list(value) -> tuple:
 _READERS = {
     int: _read_int,
     float: _read_float,
-    bool: _read_bool,
     str: _read_text,
     Optional[str]: lambda value: None if value is None else _read_text(value),
     tuple[str, ...]: _read_text_list,

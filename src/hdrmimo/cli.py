@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import fields
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, Sequence
 
 from .harness import (
     ExperimentConfig,
@@ -37,7 +37,6 @@ _HELP = {
     "out": "output CSV path",
     "plot_script": "also emit a gnuplot script here",
     "threads": "worker threads for the sweep",
-    "quantized_training": "pass the training block through the q-bit ADCs",
 }
 
 
@@ -55,15 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--config", help="flat key = value configuration file")
-    hints = get_type_hints(ExperimentConfig)
     for f in fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if hints[f.name] is bool:
-            p.add_argument(
-                flag, action=argparse.BooleanOptionalAction, help=_HELP[f.name]
-            )
-        else:
-            p.add_argument(flag, help=_HELP[f.name])
+        p.add_argument("--" + f.name.replace("_", "-"), help=_HELP[f.name])
     return p
 
 

@@ -32,25 +32,25 @@ from .frontend import (
     design_quantizer,
     identity_transform,
 )
-from .training import (
-    covariance_blocks,
-    estimate_from_training,
-    generate_pilots,
-    simulate_training,
-)
+from .training import estimate_from_training, generate_pilots, simulate_training
 
 METHODS = ("perfect", "wsu", "none", "hr-iso", "hr-max")
 
 # Keeps the fixed-point MSNR encoding nonnegative for SeedSequence.
 _MSNR_KEY_OFFSET = 1 << 40
+# The MSNR grid's valid range: the fixed-point key resolves 1e-6 dB, so a
+# step of at least 1e-5 dB gives each grid point its own stream, and within
+# +-1000 dB the key stays nonnegative and 10^(MSNR/10) stays finite.
+_MSNR_STEP_MIN_DB = 1e-5
+_MSNR_LIMIT_DB = 1000.0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig(ScenarioConfig):
     """Full description of one BER sweep: the scenario fields it inherits
     from ``ScenarioConfig`` plus the quantizer, methods, grid and budget,
-    all read and checked alike: ``quantized_training="no"`` is False, and
-    ``methods`` is a comma list or a sequence of distinct method names."""
+    all read and checked alike: ``q_bits="3"`` is 3, and ``methods`` is a
+    comma list or a sequence of distinct method names."""
 
     q_bits: int = 3
     methods: tuple[str, ...] = METHODS
@@ -63,7 +63,6 @@ class ExperimentConfig(ScenarioConfig):
     out: str = "results.csv"
     plot_script: Optional[str] = None
     threads: int = 1
-    quantized_training: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -78,8 +77,16 @@ class ExperimentConfig(ScenarioConfig):
                 )
             if m in self.methods[:i]:
                 raise ValueError(f"methods lists '{m}' more than once")
-        if self.msnr_step <= 0:
-            raise ValueError(f"msnr_step must be positive, got {self.msnr_step}")
+        if self.msnr_step < _MSNR_STEP_MIN_DB:
+            raise ValueError(
+                f"msnr_step must be >= {_MSNR_STEP_MIN_DB} dB, got {self.msnr_step}"
+            )
+        for key in ("msnr_start", "msnr_stop"):
+            if abs(getattr(self, key)) > _MSNR_LIMIT_DB:
+                raise ValueError(
+                    f"{key} must be within +-{_MSNR_LIMIT_DB} dB, "
+                    f"got {getattr(self, key)}"
+                )
         if self.msnr_stop < self.msnr_start:
             raise ValueError("msnr_stop must be >= msnr_start")
         if self.realizations < 1 or self.symbols < 1:
@@ -143,7 +150,8 @@ def trial_rng(
     """Deterministic per-trial RNG substream.
 
     The stream key is (master seed, method index, fixed-point MSNR,
-    realization index), so no two trials share a stream and results are
+    realization index). ``ExperimentConfig`` keeps the MSNR step at 1e-5 dB
+    or more, so no two trials of a sweep share a stream, and results are
     independent of scheduling order and thread count.
     """
     key = (
@@ -153,19 +161,6 @@ def trial_rng(
         realization_index,
     )
     return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def _quantized_training_block(
-    y_train: np.ndarray, clusters: int, q_bits: int
-) -> np.ndarray:
-    # Optional sensitivity-study path: pass the training block through the
-    # q-bit converters (no spatial transform exists yet at training time),
-    # with AGC taken from the raw block, then undo gain and Bussgang scaling.
-    ident = identity_transform(y_train.shape[0], clusters)
-    gains = compute_agc(covariance_blocks(y_train, clusters), ident)
-    quant = design_quantizer(q_bits)
-    r = adc(y_train, gains, quant)
-    return r / (quant.gamma * gains.omega[:, None])
 
 
 def run_trial(
@@ -190,15 +185,13 @@ def run_trial(
 
     pilots = generate_pilots(cfg.ues, cfg.pilot_length())
     y_train = simulate_training(h, pilots, noise, rng)
-    if cfg.quantized_training and method != "perfect":
-        y_train = _quantized_training_block(y_train, cfg.clusters, cfg.q_bits)
     est = estimate_from_training(y_train, pilots, cfg.clusters)
 
     if method == "perfect":
         w = build_unquantized_lmmse(est.h_hat, noise.n0)
     else:
         if method == "hr-iso":
-            transform = design_hr_iso(est.h_strong, cfg.clusters)
+            transform = design_hr_iso(est.h_hat[:, est.strong_index], cfg.clusters)
         elif method == "hr-max":
             transform = design_hr_max(est.c_y_blocks)
         else:  # wsu, none
@@ -373,7 +366,8 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 def load_config_file(path: str) -> dict:
     """Read a flat ``key = value`` config file with '#' comments into
-    key -> stripped text; an unknown key raises a ValueError naming it."""
+    key -> stripped text; an unknown or repeated key raises a ValueError
+    naming it."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -388,6 +382,8 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key '{key}'")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key '{key}' set more than once")
             values[key] = value.strip()
     return values
 

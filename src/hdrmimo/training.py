@@ -23,7 +23,6 @@ class TrainingOutput:
     h_hat: np.ndarray  # (B, U) least-squares channel estimate
     c_y_blocks: np.ndarray  # (C, S, S) per-cluster sample covariance blocks
     strong_index: int  # estimated strongest-user column
-    h_strong: np.ndarray  # (B,) that user's estimated channel
 
 
 def generate_pilots(u: int, k: int) -> np.ndarray:
@@ -39,7 +38,7 @@ def simulate_training(
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Unquantized training observations H @ S_T + N_T.
+    """The training block H @ S_T + N_T, with no quantizer in its path.
 
     The (B, K) block that ``observe`` receives for the (U, K) pilot block,
     bit for bit ``h @ pilots + complex_noise(rng, (B, K), noise.n0)`` from
@@ -103,10 +102,8 @@ def estimate_from_training(
 ) -> TrainingOutput:
     """LS estimate, per-cluster covariance blocks, and strongest-user pick."""
     h_hat = ls_channel_estimate(y_train, pilots)
-    strong = strongest_ue_index(h_hat)
     return TrainingOutput(
         h_hat=h_hat,
         c_y_blocks=covariance_blocks(y_train, clusters),
-        strong_index=strong,
-        h_strong=h_hat[:, strong],
+        strong_index=strongest_ue_index(h_hat),
     )

@@ -1,7 +1,10 @@
 import inspect
+import re
+import shlex
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -67,7 +70,6 @@ NEW_FLAG_CASES = [
     ("angle_sector_deg", ["--angle-sector-deg", "20.5"], "20.5", 20.5),
     ("path_decay_db", ["--path-decay-db", "1.5"], "1.5", 1.5),
     ("shadowing_std_db", ["--shadowing-std-db", "0"], "0", 0.0),
-    ("quantized_training", ["--quantized-training"], "yes", True),
 ]
 
 
@@ -88,7 +90,7 @@ def experiment_configs(draw):
     finite = st.floats(-1e6, 1e6)
     nonnegative = st.floats(0.0, 1e6)
     dr_limit_db = draw(finite)
-    msnr_start = draw(finite)
+    msnr_start = draw(st.floats(-1000.0, 1000.0))
     # Any path, including ones that start with "-" and the bare "--",
     # which argparse cannot carry as an option value.
     path = st.sampled_from(["--", "-", "-o.csv"]) | st.from_regex(
@@ -109,15 +111,14 @@ def experiment_configs(draw):
             draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True))
         ),
         msnr_start=msnr_start,
-        msnr_stop=msnr_start + draw(nonnegative),
-        msnr_step=draw(st.floats(1e-6, 1e6)),
+        msnr_stop=draw(st.floats(msnr_start, 1000.0)),
+        msnr_step=draw(st.floats(1e-5, 1e6)),
         realizations=draw(st.integers(1, 10**6)),
         symbols=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**63)),
         out=draw(path),
         plot_script=draw(st.none() | path),
         threads=draw(st.integers(1, 64)),
-        quantized_training=draw(st.booleans()),
     )
 
 
@@ -158,15 +159,7 @@ class TestConfig:
         path = tmp_path_factory.mktemp("cfg") / "run.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
         assert parse_config(str(path)) == cfg
-        argv = [
-            f"--{key.replace('_', '-')}={value}"
-            for key, value in text.items()
-            if key != "quantized_training"
-        ]
-        argv.append(
-            "--quantized-training" if cfg.quantized_training
-            else "--no-quantized-training"
-        )
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in text.items()]
         if "--" in (cfg.out, cfg.plot_script):
             # argparse hands over an empty list for the value "--": a usage
             # error, never a file named "[]".
@@ -209,19 +202,13 @@ class TestConfig:
         cases = [(key, value) for key in INT_KEYS for value in (3.7, True)]
         cases += [(key, value) for key in FLOAT_KEYS for value in (True, np.nan)]
         cases += [(key, value) for key in TEXT_KEYS for value in (5, [])]
-        cases += [("quantized_training", "maybe")]
         cases = [(key, value) for key, value in cases if key in hints]
-        assert len(cases) == (18 if cls is ScenarioConfig else 39)
+        assert len(cases) == (18 if cls is ScenarioConfig else 38)
         for key, value in cases:
             with pytest.raises(
                 ValueError, match=f"bad value for key '{key}'|{key} must be finite"
             ):
                 cls(**{key: value})
-
-    @pytest.mark.parametrize("text,expected", [("no", False), ("off", False),
-                                               ("0", False), ("Yes", True)])
-    def test_bool_key_reads_words(self, text, expected):
-        assert ExperimentConfig(quantized_training=text).quantized_training is expected
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(cfg=experiment_configs())
@@ -267,13 +254,11 @@ class TestConfig:
             "clusters = 8\n"
             "q_bits = 4\n"
             "methods = wsu, hr-iso\n"
-            "quantized_training = true\n"
         )
         cfg = parse_config(str(path))
         assert cfg.bs_antennas == 64
         assert cfg.q_bits == 4
         assert cfg.methods == ("wsu", "hr-iso")
-        assert cfg.quantized_training is True
 
     def test_unknown_key_named_in_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -315,6 +300,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("msnr_step", float(np.nextafter(1e-5, 0))),
+            ("msnr_start", float(np.nextafter(-1000.0, -np.inf))),
+            ("msnr_start", float(np.nextafter(1000.0, np.inf))),
+            ("msnr_stop", float(np.nextafter(1000.0, np.inf))),
+            ("msnr_stop", float(np.nextafter(-1000.0, -np.inf))),
+        ],
+    )
+    def test_msnr_outside_the_valid_range_named_in_error(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be (within|>= 1e-05 dB)"):
+            ExperimentConfig(**{key: value})
+
+    def test_msnr_range_bounds_accepted(self):
+        cfg = ExperimentConfig(msnr_start=-1000.0, msnr_stop=1000.0, msnr_step=1e-5)
+        assert (cfg.msnr_start, cfg.msnr_stop, cfg.msnr_step) == (-1000.0, 1000.0, 1e-5)
+
+    def test_repeated_file_key_named_in_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("q_bits = 3\n# a later line sets it again\nq_bits = 4\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:3: key 'q_bits' set more than once"):
+            parse_config(str(path))
+
     def test_msnr_grid(self):
         cfg = ExperimentConfig(msnr_start=-10.0, msnr_stop=15.0, msnr_step=2.5)
         grid = cfg.msnr_grid()
@@ -327,6 +336,23 @@ class TestConfig:
 
 
 class TestRunTrial:
+    @pytest.mark.parametrize("start", [-1000.0, 0.0, 1000.0 - 3e-5])
+    def test_grid_points_at_the_minimum_step_get_distinct_streams(self, start):
+        cfg = smoke_cfg(msnr_start=start, msnr_stop=min(start + 3e-5, 1000.0),
+                        msnr_step=1e-5)
+        grid = cfg.msnr_grid()
+        assert len(grid) == 4
+        keys = {trial_rng(1, "wsu", m, 0).bit_generator.seed_seq.entropy for m in grid}
+        assert len(keys) == len(grid)
+
+    @pytest.mark.parametrize("msnr_db", [-1000.0, 1000.0])
+    def test_trial_runs_at_either_end_of_the_msnr_range(self, msnr_db):
+        cfg = smoke_cfg(bs_antennas=16, ues=4, clusters=4, msnr_start=msnr_db,
+                        msnr_stop=msnr_db, realizations=1, symbols=10)
+        for method in METHODS:
+            errors, bits = run_trial(cfg, method, msnr_db, 0)
+            assert 0 <= errors <= bits == 10 * 4 * cfg.ues
+
     def test_deterministic(self):
         cfg = smoke_cfg()
         a = run_trial(cfg, "hr-max", 10.0, 3)
@@ -381,14 +407,12 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(smoke_cfg(), "zf", 10.0, 0)
 
-    @pytest.mark.parametrize("quantized_training", [False, True])
-    def test_no_antenna_by_antenna_matrix(self, quantized_training):
+    def test_no_antenna_by_antenna_matrix(self):
         # With B = 512 antennas, 4 users and one symbol every array a trial
         # needs is O(B U) or per cluster, while a single B x B complex matrix
         # takes 4 MiB. Peak traced allocation stays below half of that.
         cfg = smoke_cfg(
-            bs_antennas=512, ues=4, clusters=64, realizations=1, symbols=1,
-            quantized_training=quantized_training,
+            bs_antennas=512, ues=4, clusters=64, realizations=1, symbols=1
         )
         one_matrix = 512 * 512 * np.dtype(complex).itemsize
         for method in METHODS:
@@ -452,11 +476,6 @@ class TestRunTrial:
 
         for name in ("householder_apply", "dominant_eigenpair", "sample_covariance"):
             assert not hasattr(hdrmimo, name)
-
-    def test_quantized_training_smoke(self):
-        cfg = smoke_cfg(quantized_training=True, realizations=1, symbols=20)
-        errors, bits = run_trial(cfg, "hr-iso", 10.0, 0)
-        assert 0 <= errors <= bits == 20 * 4 * cfg.ues
 
 
 class TestRunSweep:
@@ -565,8 +584,6 @@ class TestCsvAndPlot:
             emit_plot_script([], str(tmp_path / "x.gp"))
 
     def test_plot_script_references_existing_columns(self, tmp_path):
-        import re
-
         records = self.run_small()
         path = tmp_path / "plot.gp"
         emit_plot_script(records, str(path), csv_path="out.csv")
@@ -632,12 +649,6 @@ class TestCli:
         assert getattr(parse_config(str(path)), key) == expected
         assert getattr(config_from_argv(["--config", str(path)]), key) == expected
 
-    def test_negated_switch_overrides_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("quantized_training = yes\n")
-        argv = ["--config", str(path), "--no-quantized-training"]
-        assert config_from_argv(argv).quantized_training is False
-
     @pytest.mark.parametrize("flag_args", [case[1] for case in NEW_FLAG_CASES])
     def test_new_flags_reach_the_trials(self, tmp_path, flag_args):
         # The value reaches the trials: the CSV differs from a default run.
@@ -696,3 +707,28 @@ class TestCli:
     def test_bad_flag_value_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["--clusters", "7"])
+
+
+class TestReadme:
+    """The README's config file and command line still parse, so it cannot
+    go on documenting a key or flag that no longer exists."""
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\w*\n(.*?)^```", text, re.S | re.M)
+
+    def test_config_file_example_parses(self, tmp_path):
+        (block,) = [
+            b for b in self.blocks
+            if all(re.fullmatch(r"\w+ = .+", ln) for ln in b.splitlines())
+        ]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        cfg = parse_config(str(path))
+        assert (cfg.bs_antennas, cfg.ues, cfg.clusters) == (64, 8, 8)
+
+    def test_command_line_example_parses(self):
+        (block,) = [b for b in self.blocks if b.startswith("hdrmimo ")]
+        argv = shlex.split(block.replace("\\\n", " "))
+        assert argv[0] == "hdrmimo"
+        cfg = config_from_argv(argv[1:])
+        assert (cfg.bs_antennas, cfg.ues, cfg.clusters) == (64, 8, 8)

@@ -200,8 +200,8 @@ class TestEstimateFromTraining:
         y = simulate_training(h, pilots, NoiseModel(0.1), rng)
         est = estimate_from_training(y, pilots, 2)
         assert np.array_equal(est.h_hat, ls_channel_estimate(y, pilots))
+        assert est.strong_index == strongest_ue_index(est.h_hat)
         assert np.array_equal(est.c_y_blocks, covariance_blocks(y, 2))
         c = sample_covariance(y)
         scale = np.abs(c).max()
         assert np.allclose(est.c_y_blocks, diagonal_blocks(c, 2), rtol=0, atol=1e-13 * scale)
-        assert np.array_equal(est.h_strong, est.h_hat[:, est.strong_index])
