@@ -8,7 +8,6 @@ a Bussgang-linearized LMMSE equalizer.
 """
 
 from .channel import (
-    NoiseModel,
     ScenarioConfig,
     generate_channel,
     noise_variance_from_msnr,

@@ -132,17 +132,6 @@ class ScenarioConfig:
         return self.bs_antennas // self.clusters
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-entry complex noise variance (linear power); 0 means noiseless."""
-
-    n0: float
-
-    def __post_init__(self) -> None:
-        if not self.n0 >= 0:
-            raise ValueError(f"noise variance must be nonnegative, got {self.n0}")
-
-
 def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
     """Half-wavelength ULA steering vectors [1, e^{j pi sin t}, ...].
 
@@ -160,7 +149,10 @@ def _add_complex_noise(
     # Adds scale * (a + 1j*b), scale = sqrt(variance/2), to the complex array
     # ``out`` in place. All real parts a are drawn before all imaginary parts
     # b, as two rng.standard_normal(out.shape) calls would draw them, into one
-    # reused float buffer of half the size of ``out``.
+    # reused float buffer of half the size of ``out``. The negated test also
+    # rejects a NaN variance.
+    if not variance >= 0:
+        raise ValueError(f"noise variance must be nonnegative, got {variance}")
     scale = np.sqrt(variance / 2.0)
     draws = np.empty(out.shape)
     for part in (out.real, out.imag):
@@ -176,7 +168,8 @@ def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarra
     the real parts are drawn first, then the imaginary parts, each scaled in
     place by sqrt(variance/2). For a positive variance the result is bit for
     bit ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
-    from the same draws of ``rng``.
+    from the same draws of ``rng``. A negative or NaN variance raises
+    ValueError.
     """
     out = np.zeros(shape, dtype=complex)
     _add_complex_noise(rng, out, variance)
@@ -279,24 +272,27 @@ def realize_channel(
     return h[:, order]
 
 
-def noise_variance_from_msnr(h: np.ndarray, msnr_db: float) -> NoiseModel:
-    """Noise variance that hits the requested median receive SNR (dB).
+def noise_variance_from_msnr(h: np.ndarray, msnr_db: float) -> float:
+    """Per-entry complex noise variance N0 (linear power) that hits the
+    requested median receive SNR (dB).
 
     Defined as N0 = U * median(||h_u||^2) / (B * 10^(msnr/10)); for an even
     number of users the median averages the two central order statistics.
     """
     b, u = h.shape
     med = float(np.median(np.sum(np.abs(h) ** 2, axis=0)))
-    return NoiseModel(u * med / (b * 10.0 ** (msnr_db / 10.0)))
+    return u * med / (b * 10.0 ** (msnr_db / 10.0))
 
 
 def observe(
     h: np.ndarray,
     s: np.ndarray,
-    noise: NoiseModel,
+    n0: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Receive vector(s) h @ s + n with i.i.d. complex Gaussian noise.
+    """Receive vector(s) h @ s + n with i.i.d. complex Gaussian noise of
+    variance ``n0`` per entry; 0 means noiseless, and a negative or NaN
+    ``n0`` raises ValueError.
 
     ``s`` may be a length-U symbol vector or a (U, n) block of symbol
     vectors; the noise is drawn per entry of the output. Allocates the
@@ -311,5 +307,5 @@ def observe(
             f"symbol dimension {s.shape[0]} does not match user count {h.shape[1]}"
         )
     y = np.asarray(h @ s, dtype=complex)
-    _add_complex_noise(rng, y, noise.n0)
+    _add_complex_noise(rng, y, n0)
     return y

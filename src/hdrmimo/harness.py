@@ -171,24 +171,30 @@ def run_trial(
 ) -> tuple[int, int]:
     """One channel realization of one method at one MSNR point.
 
-    Runs the full chain: channel draw with power control, training and
+    Makes every random draw first (channel with power control, training
+    noise, data bits, data noise), then runs the receiver on them:
     estimation, transform design, AGC/quantizer setup, equalizer build, and
-    a block of data symbol vectors. Returns (bit_errors, total_bits) and is
-    fully deterministic given (cfg.seed, method, msnr_db, realization_index).
+    the data path. Returns (bit_errors, total_bits) and is fully
+    deterministic given (cfg.seed, method, msnr_db, realization_index).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
 
+    # The draws, in stream order; nothing after them uses the stream.
     h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
-    noise = noise_variance_from_msnr(h, msnr_db)
-
+    n0 = noise_variance_from_msnr(h, msnr_db)
     pilots = generate_pilots(cfg.ues, cfg.pilot_length())
-    y_train = simulate_training(h, pilots, noise, rng)
-    est = estimate_from_training(y_train, pilots, cfg.clusters)
+    y_train = simulate_training(h, pilots, n0, rng)
+    tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
+    y_block = observe(h, modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T, n0, rng)
 
+    est = estimate_from_training(y_train, pilots, cfg.clusters)
+    # The data path holds at most two (B, n) blocks at a time: each block is
+    # dropped as soon as the next stage has consumed it.
     if method == "perfect":
-        w = build_unquantized_lmmse(est.h_hat, noise.n0)
+        w = build_unquantized_lmmse(est.h_hat, n0)
+        r_block = y_block
     else:
         if method == "hr-iso":
             transform = design_hr_iso(est.h_hat[:, est.strong_index], cfg.clusters)
@@ -198,19 +204,7 @@ def run_trial(
             transform = identity_transform(cfg.bs_antennas, cfg.clusters)
         quant = design_quantizer(cfg.q_bits)
         gains = compute_agc(est.c_y_blocks, transform)
-        w = build_lmmse(est.h_hat, transform, gains, quant, noise.n0)
-
-    # The data path holds at most two (B, n) blocks at a time: each block is
-    # dropped as soon as the next stage has consumed it.
-    nbits = 4 * cfg.ues
-    tx_bits = rng.integers(0, 2, size=(cfg.symbols, nbits))
-    s_block = modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T
-    y_block = observe(h, s_block, noise, rng)
-    del s_block
-
-    if method == "perfect":
-        r_block = y_block
-    else:
+        w = build_lmmse(est.h_hat, transform, gains, quant, n0)
         y_tilde = apply_transform(transform, y_block)
         # Sampled unitarity check: the transform must conserve energy.
         n_in = float(np.linalg.norm(y_block[:, 0]))
@@ -235,52 +229,43 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     """Run methods x MSNR grid, aggregating error counts over realizations.
 
     Work units are independent (method, MSNR point, realization) trials;
-    integer error counts are summed, so parallel execution produces records
-    identical to a serial run.
+    outcomes come back in task order, so each (method, MSNR point) sums its
+    ``cfg.realizations`` consecutive integer counts, and parallel execution
+    produces records identical to a serial run.
     """
     grid = cfg.msnr_grid()
     tasks = [
-        (method, mi, r)
+        (method, msnr_db, r)
         for method in cfg.methods
-        for mi in range(len(grid))
+        for msnr_db in grid
         for r in range(cfg.realizations)
     ]
-
-    def _one(task):
-        method, mi, r = task
-        errors, bits = run_trial(cfg, method, grid[mi], r)
-        return method, mi, errors, bits
-
-    totals: dict = {}
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(_one, tasks))
+            outcomes = list(pool.map(lambda task: run_trial(cfg, *task), tasks))
     else:
-        outcomes = [_one(t) for t in tasks]
-    for method, mi, errors, bits in outcomes:
-        prev = totals.get((method, mi), (0, 0))
-        totals[(method, mi)] = (prev[0] + errors, prev[1] + bits)
+        outcomes = [run_trial(cfg, *task) for task in tasks]
 
     records = []
-    for method in cfg.methods:
-        for mi, msnr_db in enumerate(grid):
-            errors, bits = totals[(method, mi)]
-            records.append(
-                ResultRecord(
-                    method=method,
-                    rho_db=cfg.rho_db,
-                    q=cfg.q_bits,
-                    clusters=cfg.clusters,
-                    bs_antennas=cfg.bs_antennas,
-                    ues=cfg.ues,
-                    msnr_db=msnr_db,
-                    bit_errors=errors,
-                    total_bits=bits,
-                    ber=errors / bits,
-                    realizations=cfg.realizations,
-                    seed=cfg.seed,
-                )
+    for i in range(0, len(tasks), cfg.realizations):
+        method, msnr_db, _ = tasks[i]
+        errors, bits = map(sum, zip(*outcomes[i : i + cfg.realizations]))
+        records.append(
+            ResultRecord(
+                method=method,
+                rho_db=cfg.rho_db,
+                q=cfg.q_bits,
+                clusters=cfg.clusters,
+                bs_antennas=cfg.bs_antennas,
+                ues=cfg.ues,
+                msnr_db=msnr_db,
+                bit_errors=errors,
+                total_bits=bits,
+                ber=errors / bits,
+                realizations=cfg.realizations,
+                seed=cfg.seed,
             )
+        )
     return records
 
 

@@ -78,8 +78,13 @@ def dominant_eigenpair(c: np.ndarray, tol: float = 1e-10) -> EigenPair:
 def posdef_inverse_apply(a: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     """Solve A X = B for Hermitian positive definite A via Cholesky.
 
-    Raises a LinAlgError if the factorization fails (A indefinite or
-    singular). Never forms the explicit inverse.
+    Raises a LinAlgError if the factorization fails (A indefinite) or if a
+    pivot is negligible against its own diagonal entry, l_ii^2 <= 10 eps
+    a_ii (A singular to working precision). That test is unchanged by a
+    diagonal scaling D A D (van der Sluis 1969; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), so a well-conditioned matrix
+    whose rows differ in scale by many decades is solved. Never forms the
+    explicit inverse.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(bmat, dtype=complex)
@@ -92,8 +97,7 @@ def posdef_inverse_apply(a: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     # Rounding can let the factorization of an exactly singular matrix slip
     # through with a tiny pivot; treat that as a failure too.
     pivots = np.abs(np.diagonal(factor[0]))
-    diag_max = float(np.max(np.abs(np.diagonal(a))))
-    if float(np.min(pivots)) ** 2 <= 10.0 * np.finfo(float).eps * diag_max:
+    if np.any(pivots**2 <= 10.0 * np.finfo(float).eps * np.diagonal(a).real):
         raise np.linalg.LinAlgError("matrix is singular to working precision")
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 

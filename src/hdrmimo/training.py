@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel, observe
+from .channel import observe
 from .linalg import hadamard, posdef_inverse_apply
 
 
@@ -35,17 +35,18 @@ def generate_pilots(u: int, k: int) -> np.ndarray:
 def simulate_training(
     h: np.ndarray,
     pilots: np.ndarray,
-    noise: NoiseModel,
+    n0: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """The training block H @ S_T + N_T, with no quantizer in its path.
 
-    The (B, K) block that ``observe`` receives for the (U, K) pilot block,
-    bit for bit ``h @ pilots + complex_noise(rng, (B, K), noise.n0)`` from
-    the same draws of ``rng``. A pilot block whose row count is not U
-    raises ValueError.
+    The (B, K) block that ``observe`` receives for the (U, K) pilot block
+    with noise variance ``n0`` per entry, bit for bit
+    ``h @ pilots + complex_noise(rng, (B, K), n0)`` from the same draws of
+    ``rng``. A pilot block whose row count is not U, or a negative or NaN
+    ``n0``, raises ValueError.
     """
-    return observe(h, pilots, noise, rng)
+    return observe(h, pilots, n0, rng)
 
 
 def ls_channel_estimate(y_train: np.ndarray, pilots: np.ndarray) -> np.ndarray:

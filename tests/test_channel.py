@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hdrmimo.channel import (
-    NoiseModel,
     ScenarioConfig,
     apply_power_control,
+    complex_noise,
     generate_channel,
     noise_variance_from_msnr,
     observe,
@@ -184,17 +184,17 @@ class TestNoiseFromMsnr:
     def test_reference_arithmetic(self):
         h = np.zeros((256, 32))
         h[:32, :] = np.eye(32)  # unit-norm columns, median power 1
-        assert np.isclose(noise_variance_from_msnr(h, 0.0).n0, 0.125)
+        assert np.isclose(noise_variance_from_msnr(h, 0.0), 0.125)
 
     def test_high_msnr_limit(self):
         h = np.eye(4, 2)
-        assert noise_variance_from_msnr(h, 200.0).n0 < 1e-19
+        assert noise_variance_from_msnr(h, 200.0) < 1e-19
 
     def test_homogeneity(self):
         rng = np.random.default_rng(6)
         h = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        n_a = noise_variance_from_msnr(h, 5.0).n0
-        n_b = noise_variance_from_msnr(np.sqrt(2.0) * h, 5.0).n0
+        n_a = noise_variance_from_msnr(h, 5.0)
+        n_b = noise_variance_from_msnr(np.sqrt(2.0) * h, 5.0)
         assert np.isclose(n_b, 2.0 * n_a)
 
 
@@ -203,7 +203,7 @@ class TestObserve:
         rng = np.random.default_rng(7)
         h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         s = np.array([0.0, 1.0, 0.0])
-        y = observe(h, s, NoiseModel(0.0), rng)
+        y = observe(h, s, 0.0, rng)
         assert np.allclose(y, h[:, 1])
 
     def test_pure_noise_variance(self):
@@ -211,19 +211,26 @@ class TestObserve:
         # per-entry sample variance must match the configured N0.
         rng = np.random.default_rng(8)
         h = np.zeros((10, 2))
-        samples = observe(h, np.zeros((2, 10_000)), NoiseModel(0.5), rng)
+        samples = observe(h, np.zeros((2, 10_000)), 0.5, rng)
         assert np.isclose(np.mean(np.abs(samples) ** 2), 0.5, rtol=0.02)
 
     def test_seed_reproducibility(self):
         h = np.ones((4, 2), dtype=complex)
         s = np.array([1.0, -1.0])
-        y1 = observe(h, s, NoiseModel(1.0), np.random.default_rng(9))
-        y2 = observe(h, s, NoiseModel(1.0), np.random.default_rng(9))
+        y1 = observe(h, s, 1.0, np.random.default_rng(9))
+        y2 = observe(h, s, 1.0, np.random.default_rng(9))
         assert np.array_equal(y1, y2)
+
+    @pytest.mark.parametrize("n0", [-1.0, np.nan])
+    def test_bad_noise_variance_rejected(self, n0):
+        with pytest.raises(ValueError, match="noise variance"):
+            complex_noise(np.random.default_rng(0), (2,), n0)
+        with pytest.raises(ValueError, match="noise variance"):
+            observe(np.ones((4, 2)), np.ones(2), n0, np.random.default_rng(0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            observe(np.ones((4, 2)), np.ones(3), NoiseModel(0.0), np.random.default_rng(0))
+            observe(np.ones((4, 2)), np.ones(3), 0.0, np.random.default_rng(0))
 
     def test_wide_block_allocates_output_and_half_buffer(self):
         # The product h @ s plus the reused float buffer of the noise draws,
@@ -232,10 +239,10 @@ class TestObserve:
         h = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
         s = (rng.standard_normal((20000, 8)) + 1j).T
         block = 64 * 20000 * np.dtype(complex).itemsize
-        observe(h, s, NoiseModel(0.1), rng)
+        observe(h, s, 0.1, rng)
         tracemalloc.start()
         try:
-            observe(h, s, NoiseModel(0.1), rng)
+            observe(h, s, 0.1, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -15,7 +15,6 @@ import pytest
 
 from hdrmimo import channel
 from hdrmimo.channel import (
-    NoiseModel,
     complex_noise,
     noise_variance_from_msnr,
     observe,
@@ -54,15 +53,15 @@ def reference_complex_noise(rng, shape, variance):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def reference_observe(h, s, noise, rng):
+def reference_observe(h, s, n0, rng):
     s = np.asarray(s)
     out_shape = (h.shape[0],) if s.ndim == 1 else (h.shape[0], s.shape[1])
-    return h @ s + reference_complex_noise(rng, out_shape, noise.n0)
+    return h @ s + reference_complex_noise(rng, out_shape, n0)
 
 
-def reference_training(h, pilots, noise, rng):
+def reference_training(h, pilots, n0, rng):
     noise_shape = (h.shape[0], pilots.shape[1])
-    return h @ pilots + reference_complex_noise(rng, noise_shape, noise.n0)
+    return h @ pilots + reference_complex_noise(rng, noise_shape, n0)
 
 
 def reference_modulate(bits):
@@ -111,13 +110,13 @@ def reference_run_trial(cfg, method, msnr_db, realization_index):
         patch.setattr(channel, "complex_noise", reference_complex_noise)
         rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
         h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
-    noise = noise_variance_from_msnr(h, msnr_db)
+    n0 = noise_variance_from_msnr(h, msnr_db)
     pilots = generate_pilots(cfg.ues, cfg.pilot_length())
-    y_train = reference_training(h, pilots, noise, rng)
+    y_train = reference_training(h, pilots, n0, rng)
     est = estimate_from_training(y_train, pilots, cfg.clusters)
 
     if method == "perfect":
-        w = build_unquantized_lmmse(est.h_hat, noise.n0)
+        w = build_unquantized_lmmse(est.h_hat, n0)
     else:
         if method == "hr-iso":
             transform = design_hr_iso(est.h_hat[:, est.strong_index], cfg.clusters)
@@ -127,11 +126,11 @@ def reference_run_trial(cfg, method, msnr_db, realization_index):
             transform = identity_transform(cfg.bs_antennas, cfg.clusters)
         quant = design_quantizer(cfg.q_bits)
         gains = compute_agc(est.c_y_blocks, transform)
-        w = build_lmmse(est.h_hat, transform, gains, quant, noise.n0)
+        w = build_lmmse(est.h_hat, transform, gains, quant, n0)
 
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
     s_block = reference_modulate(tx_bits.reshape(-1)).reshape(cfg.symbols, cfg.ues).T
-    y_block = reference_observe(h, s_block, noise, rng)
+    y_block = reference_observe(h, s_block, n0, rng)
     if method == "perfect":
         r_block = y_block
     else:
@@ -186,8 +185,8 @@ class TestNoise:
         # layout run_trial passes.
         s = random_complex(rng, 4) if n is None else random_complex(rng, n, 4).T
         rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
-        out = observe(h, s, NoiseModel(n0), rng)
-        assert_same_floats(out, reference_observe(h, s, NoiseModel(n0), ref_rng))
+        out = observe(h, s, n0, rng)
+        assert_same_floats(out, reference_observe(h, s, n0, ref_rng))
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     @pytest.mark.parametrize("u, k", [(8, 8), (32, 32), (3, 4)])
@@ -196,16 +195,16 @@ class TestNoise:
         h = random_complex(rng, 64, u)
         pilots = generate_pilots(u, k)
         rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
-        out = simulate_training(h, pilots, NoiseModel(0.07), rng)
-        ref = reference_training(h, pilots, NoiseModel(0.07), ref_rng)
+        out = simulate_training(h, pilots, 0.07, rng)
+        ref = reference_training(h, pilots, 0.07, ref_rng)
         assert_same_floats(out, ref)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_observe_of_real_product(self):
         rng, ref_rng = np.random.default_rng(25), np.random.default_rng(25)
         h, s = np.ones((3, 2)), np.array([[1.0, -2.0], [0.5, 4.0]])
-        out = observe(h, s, NoiseModel(0.2), rng)
-        assert_same_floats(out, reference_observe(h, s, NoiseModel(0.2), ref_rng))
+        out = observe(h, s, 0.2, rng)
+        assert_same_floats(out, reference_observe(h, s, 0.2, ref_rng))
 
 
 class TestModulate:

@@ -380,6 +380,19 @@ class TestRunTrial:
         )
         assert run_trial(cfg, "perfect", 40.0, 0) == (0, 8000)
 
+    def test_perfect_runs_far_above_the_scaled_pivot_limit(self):
+        # The unquantized detector's Gram matrix has one row rho_db above the
+        # others. A pivot test against the largest diagonal entry called it
+        # singular from about 146 dB; the per-row test takes it, and the
+        # weak users' errors stay those at 146 dB.
+        def errors(rho_db):
+            cfg = smoke_cfg(rho_db=rho_db, msnr_start=12.0, msnr_stop=12.0,
+                            symbols=200)
+            return [run_trial(cfg, "perfect", 12.0, r) for r in range(3)]
+
+        at_146 = errors(146.0)
+        assert errors(150.0) == errors(200.0) == at_146
+
     def test_transform_beats_no_transform_smoke(self):
         # Fixed-seed regression: the isolating transform must clearly beat
         # the bare quantized receiver at high dynamic range.
@@ -515,6 +528,21 @@ class TestRunSweep:
                     f"{method}: BER rose from {lo.ber} at {lo.msnr_db} dB "
                     f"to {hi.ber} at {hi.msnr_db} dB"
                 )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_record_counts_are_sums_of_trials(self, threads):
+        cfg = smoke_cfg(
+            methods=("hr-iso", "wsu"), msnr_start=8.0, msnr_stop=12.0,
+            msnr_step=4.0, realizations=3, symbols=20, threads=threads,
+        )
+        records = run_sweep(cfg)
+        assert [(rec.method, rec.msnr_db) for rec in records] == [
+            ("hr-iso", 8.0), ("hr-iso", 12.0), ("wsu", 8.0), ("wsu", 12.0)
+        ]
+        for rec in records:
+            trials = [run_trial(cfg, rec.method, rec.msnr_db, r) for r in range(3)]
+            assert rec.bit_errors == sum(e for e, _ in trials)
+            assert rec.total_bits == sum(b for _, b in trials)
 
     def test_serial_and_parallel_identical(self, tmp_path):
         base = dict(

@@ -172,6 +172,25 @@ class TestPosdefInverseApply:
         with pytest.raises(np.linalg.LinAlgError):
             posdef_inverse_apply(np.diag([1.0, -1.0]).astype(complex), np.eye(2))
 
+    def test_diagonally_scaled_matrix_accepted(self):
+        # D A D for a well-conditioned A and row scales spanning 8 decades:
+        # each pivot is as large against its own diagonal entry as for A.
+        rng = np.random.default_rng(10)
+        g = random_complex(rng, 6, 6)
+        a = g @ g.conj().T + 6.0 * np.eye(6)
+        d = np.logspace(0, -8, 6)
+        b = random_complex(rng, 6, 2)
+        x = posdef_inverse_apply(d[:, None] * a * d[None, :], b)
+        expected = np.linalg.solve(a, b / d[:, None])
+        scaled_x = d[:, None] * x
+        assert np.linalg.norm(scaled_x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("scales", [np.ones(3), np.logspace(0, -8, 3)])
+    def test_singular_rejected_at_any_row_scale(self, scales):
+        v = np.array([1.0, 2.0 - 1.0j, 3.0j]) * scales
+        with pytest.raises(np.linalg.LinAlgError):
+            posdef_inverse_apply(np.outer(v, v.conj()), np.eye(3))
+
 
 class TestHadamard:
     def test_order_two(self):

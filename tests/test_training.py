@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdrmimo.channel import NoiseModel, ScenarioConfig, noise_variance_from_msnr, realize_channel
+from hdrmimo.channel import ScenarioConfig, noise_variance_from_msnr, realize_channel
 from hdrmimo.training import (
     covariance_blocks,
     estimate_from_training,
@@ -45,23 +45,29 @@ class TestSimulateTraining:
         rng = np.random.default_rng(0)
         h = random_channel(rng, 6, 4)
         pilots = generate_pilots(4, 4)
-        assert np.allclose(simulate_training(h, pilots, NoiseModel(0.0), rng), h @ pilots)
+        assert np.allclose(simulate_training(h, pilots, 0.0, rng), h @ pilots)
 
     def test_noise_variance(self):
         rng = np.random.default_rng(1)
         h = np.zeros((4, 2))
         pilots = generate_pilots(2, 2)
         acc = [
-            simulate_training(h, pilots, NoiseModel(0.25), rng) for _ in range(5000)
+            simulate_training(h, pilots, 0.25, rng) for _ in range(5000)
         ]
         assert np.isclose(np.mean(np.abs(np.array(acc)) ** 2), 0.25, rtol=0.03)
 
     def test_seed_deterministic(self):
         h = np.ones((4, 2), dtype=complex)
         pilots = generate_pilots(2, 2)
-        a = simulate_training(h, pilots, NoiseModel(1.0), np.random.default_rng(2))
-        b = simulate_training(h, pilots, NoiseModel(1.0), np.random.default_rng(2))
+        a = simulate_training(h, pilots, 1.0, np.random.default_rng(2))
+        b = simulate_training(h, pilots, 1.0, np.random.default_rng(2))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n0", [-1.0, np.nan])
+    def test_bad_noise_variance_rejected(self, n0):
+        h = np.ones((4, 2), dtype=complex)
+        with pytest.raises(ValueError, match="noise variance"):
+            simulate_training(h, generate_pilots(2, 2), n0, np.random.default_rng(0))
 
 
 class TestLsEstimate:
@@ -87,7 +93,7 @@ class TestLsEstimate:
         pilots = generate_pilots(u, k)
         sq_sum, count = 0.0, 0
         for _ in range(10_000):
-            y = simulate_training(h, pilots, NoiseModel(n0), rng)
+            y = simulate_training(h, pilots, n0, rng)
             err = ls_channel_estimate(y, pilots) - h
             sq_sum += float(np.sum(np.abs(err) ** 2))
             count += err.size
@@ -100,7 +106,7 @@ class TestLsEstimate:
         pilots = generate_pilots(u, k)
         acc = np.zeros((b, u), dtype=complex)
         for _ in range(trials):
-            y = simulate_training(h, pilots, NoiseModel(n0), rng)
+            y = simulate_training(h, pilots, n0, rng)
             acc += ls_channel_estimate(y, pilots) - h
         bound = 4.0 * np.sqrt(n0 / (k * trials))
         assert np.all(np.abs(acc / trials) < bound)
@@ -197,7 +203,7 @@ class TestEstimateFromTraining:
         rng = np.random.default_rng(10)
         h = random_channel(rng, 8, 4)
         pilots = generate_pilots(4, 8)
-        y = simulate_training(h, pilots, NoiseModel(0.1), rng)
+        y = simulate_training(h, pilots, 0.1, rng)
         est = estimate_from_training(y, pilots, 2)
         assert np.array_equal(est.h_hat, ls_channel_estimate(y, pilots))
         assert est.strong_index == strongest_ue_index(est.h_hat)
