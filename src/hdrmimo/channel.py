@@ -7,8 +7,8 @@ import functools
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Optional, get_type_hints
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -52,7 +52,6 @@ _READERS = {
     int: _read_int,
     float: _read_float,
     str: _read_text,
-    Optional[str]: lambda value: None if value is None else _read_text(value),
     tuple[str, ...]: _read_text_list,
 }
 
@@ -61,11 +60,21 @@ _READERS = {
 _field_types = functools.cache(get_type_hints)
 
 
+def config_key(default, help: str, lo=None, hi=None):
+    """A config dataclass field: its default, its flag help, and the
+    inclusive range ``lo``..``hi`` its value must lie in (None: unbounded),
+    kept in the field's metadata for ``check_field_types`` and the CLI."""
+    return field(default=default, metadata={"help": help, "lo": lo, "hi": hi})
+
+
 def check_field_types(cfg) -> None:
     """Read every field of a frozen config dataclass by the rule for its
-    declared type and store the result; a float must also be finite. A bad
-    value raises a ValueError that names the key."""
-    for name, kind in _field_types(type(cfg)).items():
+    declared type and store the result; a float must also be finite, and a
+    value must lie in the range its ``config_key`` declares. A bad value
+    raises a ValueError that names the key."""
+    kinds = _field_types(type(cfg))
+    for f in fields(cfg):
+        name, kind = f.name, kinds[f.name]
         value = getattr(cfg, name)
         try:
             value = _READERS[kind](value)
@@ -73,6 +82,11 @@ def check_field_types(cfg) -> None:
             raise ValueError(f"bad value for key '{name}': {exc}") from exc
         if kind is float and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+        lo, hi = f.metadata["lo"], f.metadata["hi"]
+        if lo is not None and value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+        if hi is not None and value > hi:
+            raise ValueError(f"{name} must be <= {hi}, got {value!r}")
         object.__setattr__(cfg, name, value)
 
 
@@ -87,30 +101,38 @@ class ScenarioConfig:
     powers decaying by ``path_decay_db`` per path, and log-normal shadowing
     of ``shadowing_std_db`` (median 1).
 
-    Each field is read by the rule for its declared type, alike for text
-    from a file or flag and for Python values (``check_field_types``), then
-    range-checked; a bad value raises a ValueError that names the key.
+    Each field is declared once by ``config_key`` (type, default, range,
+    help), then read and range-checked by ``check_field_types``, alike for
+    text from a file or flag and for Python values; ``__post_init__`` adds
+    the rules that tie keys together. A bad value raises a ValueError that
+    names the key.
     """
 
-    bs_antennas: int = 256
-    ues: int = 32
-    clusters: int = 32
-    rho_db: float = 30.0
-    dr_limit_db: float = 6.0
-    paths: int = 5
-    angle_sector_deg: float = 60.0
-    path_decay_db: float = 5.0
-    shadowing_std_db: float = 8.0
+    bs_antennas: int = config_key(256, "basestation antenna count")
+    ues: int = config_key(32, "number of single-antenna users", lo=2)
+    clusters: int = config_key(32, "number of antenna clusters", lo=1)
+    rho_db: float = config_key(30.0, "strong-user dynamic range [dB]")
+    dr_limit_db: float = config_key(
+        6.0, "receive-power window of the power-controlled users [dB]", lo=0.0
+    )
+    paths: int = config_key(5, "propagation paths per user", lo=1)
+    angle_sector_deg: float = config_key(
+        60.0, "path angles are uniform in +- this [deg]", lo=0.0
+    )
+    path_decay_db: float = config_key(
+        5.0, "power decay per successive path [dB]", lo=0.0
+    )
+    shadowing_std_db: float = config_key(
+        8.0, "log-normal shadowing spread (median 1) [dB]", lo=0.0
+    )
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.bs_antennas < 1 or self.ues < 2:
-            raise ValueError("need bs_antennas >= 1 and ues >= 2")
         if self.bs_antennas < self.ues:
             raise ValueError(
                 f"bs_antennas ({self.bs_antennas}) must be >= ues ({self.ues})"
             )
-        if self.clusters < 1 or self.bs_antennas % self.clusters != 0:
+        if self.bs_antennas % self.clusters != 0:
             raise ValueError(
                 f"bs_antennas ({self.bs_antennas}) must be divisible by "
                 f"clusters ({self.clusters})"
@@ -120,12 +142,6 @@ class ScenarioConfig:
                 f"rho_db ({self.rho_db}) must be >= dr_limit_db "
                 f"({self.dr_limit_db})"
             )
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if self.angle_sector_deg < 0 or self.path_decay_db < 0:
-            raise ValueError("angle_sector_deg and path_decay_db must be >= 0")
-        if self.shadowing_std_db < 0:
-            raise ValueError("shadowing_std_db must be >= 0")
 
     @property
     def antennas_per_cluster(self) -> int:

@@ -15,33 +15,9 @@ from .harness import (
 )
 
 
-# Flag help per ExperimentConfig field; every field gets a flag.
-_HELP = {
-    "bs_antennas": "basestation antenna count",
-    "ues": "number of single-antenna users",
-    "clusters": "number of antenna clusters",
-    "q_bits": "ADC resolution in bits",
-    "rho_db": "strong-user dynamic range [dB]",
-    "dr_limit_db": "receive-power window of the power-controlled users [dB]",
-    "paths": "propagation paths per user",
-    "angle_sector_deg": "path angles are uniform in +- this [deg]",
-    "path_decay_db": "power decay per successive path [dB]",
-    "shadowing_std_db": "log-normal shadowing spread (median 1) [dB]",
-    "methods": "comma list from: perfect, wsu, none, hr-iso, hr-max",
-    "msnr_start": "first MSNR point [dB]",
-    "msnr_stop": "last MSNR point [dB]",
-    "msnr_step": "MSNR grid step [dB]",
-    "realizations": "channel realizations per MSNR point",
-    "symbols": "symbol vectors per channel realization",
-    "seed": "master seed for all substreams",
-    "out": "output CSV path",
-    "plot_script": "also emit a gnuplot script here",
-    "threads": "worker threads for the sweep",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per ExperimentConfig field: ``--rho-db`` sets ``rho_db``.
+    """One flag per ExperimentConfig field: ``--rho-db`` sets ``rho_db``,
+    with the help its ``config_key`` declares.
 
     Values stay text here; ``ExperimentConfig`` reads and checks them
     exactly as it does config-file values and Python values.
@@ -55,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="flat key = value configuration file")
     for f in fields(ExperimentConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), help=_HELP[f.name])
+        p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"])
     return p
 
 

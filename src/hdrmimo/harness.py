@@ -11,6 +11,7 @@ import numpy as np
 
 from .channel import (
     ScenarioConfig,
+    config_key,
     noise_variance_from_msnr,
     observe,
     realize_channel,
@@ -48,26 +49,35 @@ _MSNR_LIMIT_DB = 1000.0
 @dataclass(frozen=True)
 class ExperimentConfig(ScenarioConfig):
     """Full description of one BER sweep: the scenario fields it inherits
-    from ``ScenarioConfig`` plus the quantizer, methods, grid and budget,
-    all read and checked alike: ``q_bits="3"`` is 3, and ``methods`` is a
-    comma list or a sequence of distinct method names."""
+    from ``ScenarioConfig`` plus the quantizer, methods, grid and budget.
 
-    q_bits: int = 3
-    methods: tuple[str, ...] = METHODS
-    msnr_start: float = -10.0
-    msnr_stop: float = 15.0
-    msnr_step: float = 2.5
-    realizations: int = 100
-    symbols: int = 200
-    seed: int = 1
-    out: str = "results.csv"
-    plot_script: Optional[str] = None
-    threads: int = 1
+    Every field is declared once, by ``config_key``, and read and
+    range-checked alike (``q_bits="3"`` is 3; ``methods`` is a comma list or
+    a sequence). ``__post_init__`` adds the rules a range cannot state:
+    ``methods`` names distinct known methods, ``out`` is not empty and
+    ``msnr_stop >= msnr_start``. An empty ``plot_script`` means no script.
+    """
+
+    q_bits: int = config_key(3, "ADC resolution in bits", lo=1, hi=12)
+    methods: tuple[str, ...] = config_key(
+        METHODS, f"comma list from: {', '.join(METHODS)}"
+    )
+    msnr_start: float = config_key(
+        -10.0, "first MSNR point [dB]", lo=-_MSNR_LIMIT_DB, hi=_MSNR_LIMIT_DB
+    )
+    msnr_stop: float = config_key(
+        15.0, "last MSNR point [dB]", lo=-_MSNR_LIMIT_DB, hi=_MSNR_LIMIT_DB
+    )
+    msnr_step: float = config_key(2.5, "MSNR grid step [dB]", lo=_MSNR_STEP_MIN_DB)
+    realizations: int = config_key(100, "channel realizations per MSNR point", lo=1)
+    symbols: int = config_key(200, "symbol vectors per channel realization", lo=1)
+    seed: int = config_key(1, "master seed for all substreams", lo=0)
+    out: str = config_key("results.csv", "output CSV path")
+    plot_script: str = config_key("", "also emit a gnuplot script here (empty: none)")
+    threads: int = config_key(1, "worker threads for the sweep", lo=1)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 1 <= self.q_bits <= 12:
-            raise ValueError(f"q_bits must be in 1..12, got {self.q_bits}")
         if not self.methods:
             raise ValueError("methods list must be nonempty")
         for i, m in enumerate(self.methods):
@@ -77,24 +87,10 @@ class ExperimentConfig(ScenarioConfig):
                 )
             if m in self.methods[:i]:
                 raise ValueError(f"methods lists '{m}' more than once")
-        if self.msnr_step < _MSNR_STEP_MIN_DB:
-            raise ValueError(
-                f"msnr_step must be >= {_MSNR_STEP_MIN_DB} dB, got {self.msnr_step}"
-            )
-        for key in ("msnr_start", "msnr_stop"):
-            if abs(getattr(self, key)) > _MSNR_LIMIT_DB:
-                raise ValueError(
-                    f"{key} must be within +-{_MSNR_LIMIT_DB} dB, "
-                    f"got {getattr(self, key)}"
-                )
+        if not self.out:
+            raise ValueError("out must name the output CSV, got ''")
         if self.msnr_stop < self.msnr_start:
             raise ValueError("msnr_stop must be >= msnr_start")
-        if self.realizations < 1 or self.symbols < 1:
-            raise ValueError("realizations and symbols must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def msnr_grid(self) -> tuple:
         n = int(np.floor((self.msnr_stop - self.msnr_start) / self.msnr_step + 1e-9))

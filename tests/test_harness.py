@@ -87,9 +87,8 @@ def experiment_configs(draw):
     """Any valid ExperimentConfig, every field drawn."""
     clusters = draw(st.integers(1, 8))
     bs_antennas = clusters * draw(st.integers(2, 8))
-    finite = st.floats(-1e6, 1e6)
     nonnegative = st.floats(0.0, 1e6)
-    dr_limit_db = draw(finite)
+    dr_limit_db = draw(nonnegative)
     msnr_start = draw(st.floats(-1000.0, 1000.0))
     # Any path, including ones that start with "-" and the bare "--",
     # which argparse cannot carry as an option value.
@@ -117,22 +116,30 @@ def experiment_configs(draw):
         symbols=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**63)),
         out=draw(path),
-        plot_script=draw(st.none() | path),
+        plot_script=draw(st.just("") | path),
         threads=draw(st.integers(1, 64)),
     )
 
 
 def config_as_text(cfg):
-    """key -> value text for every field that is set (plot_script may be
-    None, which has no text form)."""
+    """key -> value text for every field."""
     text = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if value is None:
-            continue
         # str(float) is repr(float), which reads back exactly.
         text[f.name] = ",".join(value) if isinstance(value, tuple) else str(value)
     return text
+
+
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
+
+# Every declared bound: (key, "lo" or "hi", bound).
+DECLARED_BOUNDS = [
+    (f.name, side, f.metadata[side])
+    for f in fields(ExperimentConfig)
+    for side in ("lo", "hi")
+    if f.metadata[side] is not None
+]
 
 
 class TestConfig:
@@ -185,9 +192,6 @@ class TestConfig:
     def test_text_key_rejects_non_text(self, key, value):
         with pytest.raises(ValueError, match=f"bad value for key '{key}'"):
             parse_config(overrides={key: value})
-
-    def test_optional_text_key_takes_none(self):
-        assert parse_config(overrides={"plot_script": None}).plot_script is None
 
     @pytest.mark.parametrize("key", INT_KEYS)
     def test_int_key_takes_integral_float(self, key):
@@ -311,8 +315,42 @@ class TestConfig:
         ],
     )
     def test_msnr_outside_the_valid_range_named_in_error(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be (within|>= 1e-05 dB)"):
+        if key == "msnr_step":
+            bound = ">= 1e-05"
+        else:
+            bound = "<= 1000.0" if value > 0 else ">= -1000.0"
+        pattern = f"^{key} must be {re.escape(bound)}, got "
+        with pytest.raises(ValueError, match=pattern):
             ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,side,bound", DECLARED_BOUNDS)
+    def test_declared_bound_accepted_and_one_step_past_rejected(
+        self, key, side, bound
+    ):
+        # The other MSNR bound is set to the same value, so that
+        # msnr_stop >= msnr_start holds at either end of the range.
+        tied = {"msnr_start": "msnr_stop", "msnr_stop": "msnr_start"}
+        base = {tied[key]: bound} if key in tied else {}
+        assert getattr(smoke_cfg(**base, **{key: bound}), key) == bound
+        if key in INT_KEYS:
+            past = bound - 1 if side == "lo" else bound + 1
+        else:
+            past = float(np.nextafter(bound, -np.inf if side == "lo" else np.inf))
+        op = ">=" if side == "lo" else "<="
+        with pytest.raises(ValueError, match=f"^{key} must be {op} ") as exc:
+            smoke_cfg(**base, **{key: past})
+        named = {k for k in CONFIG_KEYS if re.search(rf"\b{k}\b", str(exc.value))}
+        assert named == {key}
+
+    def test_negative_power_control_window_rejected_by_name(self):
+        below_zero = float(np.nextafter(0.0, -np.inf))
+        pattern = r"^dr_limit_db must be >= 0\.0, got -5e-324"
+        with pytest.raises(ValueError, match=pattern):
+            smoke_cfg(dr_limit_db=below_zero)
+
+    def test_empty_output_path_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^out must name the output CSV"):
+            ExperimentConfig(out="")
 
     def test_msnr_range_bounds_accepted(self):
         cfg = ExperimentConfig(msnr_start=-1000.0, msnr_stop=1000.0, msnr_step=1e-5)
@@ -352,6 +390,12 @@ class TestRunTrial:
         for method in METHODS:
             errors, bits = run_trial(cfg, method, msnr_db, 0)
             assert 0 <= errors <= bits == 10 * 4 * cfg.ues
+
+    def test_every_method_runs_at_a_zero_power_control_window(self):
+        cfg = smoke_cfg(dr_limit_db=0.0, realizations=1)
+        for method in METHODS:
+            errors, bits = run_trial(cfg, method, 10.0, 0)
+            assert 0 <= errors <= bits == cfg.symbols * 4 * cfg.ues
 
     def test_deterministic(self):
         cfg = smoke_cfg()
@@ -648,6 +692,19 @@ class TestCli:
         assert plot.exists()
         assert "wrote 2 records" in capsys.readouterr().out
 
+    def test_empty_plot_script_writes_no_script(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        rc = cli_main(
+            [
+                "--bs-antennas", "16", "--ues", "4", "--clusters", "4",
+                "--msnr-start", "10", "--msnr-stop", "10", "--methods", "wsu",
+                "--realizations", "1", "--symbols", "10",
+                "--out", str(out), "--plot-script", "",
+            ]
+        )
+        assert rc == 0
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
@@ -664,8 +721,10 @@ class TestCli:
 
     def test_every_config_key_has_a_flag(self):
         skip = ("help", "config")
-        flags = {a.dest for a in build_parser()._actions if a.dest not in skip}
-        assert flags == {f.name for f in fields(ExperimentConfig)}
+        actions = [a for a in build_parser()._actions if a.dest not in skip]
+        assert {a.dest for a in actions} == {f.name for f in fields(ExperimentConfig)}
+        declared = {f.name: f.metadata["help"] for f in fields(ExperimentConfig)}
+        assert {a.dest: a.help for a in actions} == declared
 
     @pytest.mark.parametrize("key,flag_args,file_value,expected", NEW_FLAG_CASES)
     def test_key_set_by_flag_and_by_file(
@@ -702,6 +761,12 @@ class TestCli:
         assert exc.value.code == 2
         key = flag[2:].replace("-", "_")
         assert f"bad value for key '{key}'" in capsys.readouterr().err
+
+    def test_empty_out_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            config_from_argv(["--out", ""])
+        assert exc.value.code == 2
+        assert "out must name the output CSV" in capsys.readouterr().err
 
     def test_duplicate_method_flag_names_the_key(self, capsys):
         with pytest.raises(SystemExit) as exc:
