@@ -11,7 +11,7 @@ designs are built on (isolated energy = ||a||^2, isolated power = lambda_1).
 import numpy as np
 
 from hdrmimo import (
-    ScenarioConfig,
+    ExperimentConfig,
     design_hr_iso,
     design_hr_max,
     apply_transform,
@@ -22,7 +22,7 @@ from hdrmimo import (
     simulate_training,
 )
 
-cfg = ScenarioConfig(bs_antennas=64, ues=8, clusters=8, rho_db=30.0)
+cfg = ExperimentConfig(bs_antennas=64, ues=8, clusters=8, rho_db=30.0)
 s = cfg.antennas_per_cluster
 rng = np.random.default_rng(3)
 

@@ -9,10 +9,10 @@ visible.
 
 import numpy as np
 
-from hdrmimo import ScenarioConfig, generate_channel, realize_channel
+from hdrmimo import ExperimentConfig, generate_channel, realize_channel
 from hdrmimo.channel import apply_power_control
 
-cfg = ScenarioConfig(bs_antennas=32, ues=6, clusters=4, rho_db=30.0)
+cfg = ExperimentConfig(bs_antennas=32, ues=6, clusters=4, rho_db=30.0)
 rng = np.random.default_rng(42)
 
 g = generate_channel(cfg, rng)

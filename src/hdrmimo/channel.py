@@ -3,149 +3,12 @@ median-SNR noise model."""
 
 from __future__ import annotations
 
-import functools
-import math
-import numbers
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from typing import get_type_hints
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-def _read_int(value) -> int:
-    # int(text) refuses "3.7" and "3.0"; a number must be integral, not a bool.
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        isinstance(value, numbers.Integral) or float(value).is_integer()
-    ):
-        return int(value)
-    raise ValueError(f"not an integer: {value!r}")
-
-
-def _read_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
-        raise ValueError(f"not a number: {value!r}")
-    return float(value)
-
-
-def _read_text(value) -> str:
-    # str() would turn any object into text: argparse hands over an empty
-    # list for the option value "--", which would name a file "[]".
-    if not isinstance(value, str):
-        raise ValueError(f"not text: {value!r}")
-    return value
-
-
-def _read_text_list(value) -> tuple:
-    if isinstance(value, str):
-        value = [m.strip() for m in value.split(",") if m.strip()]
-    elif not isinstance(value, Sequence):
-        raise ValueError(f"not a comma list or a sequence: {value!r}")
-    return tuple(_read_text(m) for m in value)
-
-
-# The reader for each declared field type. Text is read as a config file or
-# a flag gives it, so every route to a field takes the same values.
-_READERS = {
-    int: _read_int,
-    float: _read_float,
-    str: _read_text,
-    tuple[str, ...]: _read_text_list,
-}
-
-
-# The resolved field annotations of a config class, read once per class.
-_field_types = functools.cache(get_type_hints)
-
-
-def config_key(default, help: str, lo=None, hi=None):
-    """A config dataclass field: its default, its flag help, and the
-    inclusive range ``lo``..``hi`` its value must lie in (None: unbounded),
-    kept in the field's metadata for ``check_field_types`` and the CLI."""
-    return field(default=default, metadata={"help": help, "lo": lo, "hi": hi})
-
-
-def check_field_types(cfg) -> None:
-    """Read every field of a frozen config dataclass by the rule for its
-    declared type and store the result; a float must also be finite, and a
-    value must lie in the range its ``config_key`` declares. A bad value
-    raises a ValueError that names the key."""
-    kinds = _field_types(type(cfg))
-    for f in fields(cfg):
-        name, kind = f.name, kinds[f.name]
-        value = getattr(cfg, name)
-        try:
-            value = _READERS[kind](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"bad value for key '{name}': {exc}") from exc
-        if kind is float and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        lo, hi = f.metadata["lo"], f.metadata["hi"]
-        if lo is not None and value < lo:
-            raise ValueError(f"{name} must be >= {lo}, got {value!r}")
-        if hi is not None and value > hi:
-            raise ValueError(f"{name} must be <= {hi}, got {value!r}")
-        object.__setattr__(cfg, name, value)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Uplink scenario: array/user geometry plus channel-model knobs.
-
-    ``rho_db`` is the receive-power dynamic range (dB) between the strongest
-    and weakest user; all other users are power-controlled to within
-    ``dr_limit_db``. The geometric channel model draws ``paths`` propagation
-    paths per user with angles uniform in ``+-angle_sector_deg``, per-path
-    powers decaying by ``path_decay_db`` per path, and log-normal shadowing
-    of ``shadowing_std_db`` (median 1).
-
-    Each field is declared once by ``config_key`` (type, default, range,
-    help), then read and range-checked by ``check_field_types``, alike for
-    text from a file or flag and for Python values; ``__post_init__`` adds
-    the rules that tie keys together. A bad value raises a ValueError that
-    names the key.
-    """
-
-    bs_antennas: int = config_key(256, "basestation antenna count")
-    ues: int = config_key(32, "number of single-antenna users", lo=2)
-    clusters: int = config_key(32, "number of antenna clusters", lo=1)
-    rho_db: float = config_key(30.0, "strong-user dynamic range [dB]")
-    dr_limit_db: float = config_key(
-        6.0, "receive-power window of the power-controlled users [dB]", lo=0.0
-    )
-    paths: int = config_key(5, "propagation paths per user", lo=1)
-    angle_sector_deg: float = config_key(
-        60.0, "path angles are uniform in +- this [deg]", lo=0.0
-    )
-    path_decay_db: float = config_key(
-        5.0, "power decay per successive path [dB]", lo=0.0
-    )
-    shadowing_std_db: float = config_key(
-        8.0, "log-normal shadowing spread (median 1) [dB]", lo=0.0
-    )
-
-    def __post_init__(self) -> None:
-        check_field_types(self)
-        if self.bs_antennas < self.ues:
-            raise ValueError(
-                f"bs_antennas ({self.bs_antennas}) must be >= ues ({self.ues})"
-            )
-        if self.bs_antennas % self.clusters != 0:
-            raise ValueError(
-                f"bs_antennas ({self.bs_antennas}) must be divisible by "
-                f"clusters ({self.clusters})"
-            )
-        if self.rho_db < self.dr_limit_db:
-            raise ValueError(
-                f"rho_db ({self.rho_db}) must be >= dr_limit_db "
-                f"({self.dr_limit_db})"
-            )
-
-    @property
-    def antennas_per_cluster(self) -> int:
-        return self.bs_antennas // self.clusters
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 
 def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
@@ -192,8 +55,9 @@ def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarra
     return out
 
 
-def generate_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw a (B, U) geometric multipath channel matrix.
+def generate_channel(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw a (B, U) geometric multipath channel matrix for the scenario
+    fields of ``cfg`` (array, users and the four channel-model keys).
 
     Each column is a sum of ``cfg.paths`` ULA steering vectors with complex
     Gaussian path gains and log-normal shadowing. Path powers are normalized
@@ -249,17 +113,18 @@ def set_strong_ue_gain(
 
 
 def realize_channel(
-    cfg: ScenarioConfig,
+    cfg: ExperimentConfig,
     rng: np.random.Generator,
     power_control_all: bool = False,
 ) -> np.ndarray:
     """Draw a channel and return the (B, U) power-controlled effective channel.
 
-    The effective channel is ``g * diag(d)`` for the propagation channel
-    ``g`` and the power-control amplitudes ``d``. In the default (high
-    dynamic range) mode, the user with the largest raw channel norm is
-    boosted to ``cfg.rho_db`` above the weakest controlled user, while the
-    remaining users obey the ``cfg.dr_limit_db`` control rule. With
+    Only the scenario fields of the sweep config ``cfg`` are read. The
+    effective channel is ``g * diag(d)`` for the propagation channel ``g``
+    and the power-control amplitudes ``d``. In the default (high dynamic
+    range) mode, the user with the largest raw channel norm is boosted to
+    ``cfg.rho_db`` above the weakest controlled user, while the remaining
+    users obey the ``cfg.dr_limit_db`` control rule. With
     ``power_control_all`` every user is controlled and no boost is applied.
     Columns are sorted by descending effective norm, so the strongest user
     is always column 0.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 from dataclasses import fields
 from typing import Optional, Sequence
 
@@ -55,6 +56,15 @@ def config_from_argv(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = config_from_argv(argv)
+    # Checked here, not in the config, which takes any path text: a file
+    # that cannot be written would otherwise fail only after the sweep.
+    for key in ("out", "plot_script"):
+        path = getattr(cfg, key)
+        folder = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            build_parser().error(f"{key} names a directory: {path!r}")
+        if path and not os.path.isdir(folder):
+            build_parser().error(f"{key} names a missing directory: {folder!r}")
     records = run_sweep(cfg)
     write_csv(records, cfg.out)
     if cfg.plot_script:

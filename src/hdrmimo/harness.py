@@ -1,21 +1,19 @@
-"""Experiment orchestration: method pipelines, seeded Monte Carlo sweeps,
-config parsing, CSV output, and plot-script emission."""
+"""Experiment orchestration: the sweep config, method pipelines, seeded
+Monte Carlo sweeps, config parsing, CSV output, and plot-script emission."""
 
 from __future__ import annotations
 
+import math
+import numbers
+import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence, get_type_hints
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .channel import (
-    ScenarioConfig,
-    config_key,
-    noise_variance_from_msnr,
-    observe,
-    realize_channel,
-)
+from .channel import noise_variance_from_msnr, observe, realize_channel
 from .equalizer import (
     build_lmmse,
     build_unquantized_lmmse,
@@ -46,18 +44,100 @@ _MSNR_STEP_MIN_DB = 1e-5
 _MSNR_LIMIT_DB = 1000.0
 
 
-@dataclass(frozen=True)
-class ExperimentConfig(ScenarioConfig):
-    """Full description of one BER sweep: the scenario fields it inherits
-    from ``ScenarioConfig`` plus the quantizer, methods, grid and budget.
+def _read_int(value) -> int:
+    # int(text) refuses "3.7" and "3.0"; a number must be integral, not a bool.
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
 
-    Every field is declared once, by ``config_key``, and read and
-    range-checked alike (``q_bits="3"`` is 3; ``methods`` is a comma list or
-    a sequence). ``__post_init__`` adds the rules a range cannot state:
-    ``methods`` names distinct known methods, ``out`` is not empty and
-    ``msnr_stop >= msnr_start``. An empty ``plot_script`` means no script.
+
+def _read_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _read_text(value) -> str:
+    # str() would turn any object into text: argparse hands over an empty
+    # list for the option value "--", which would name a file "[]".
+    if not isinstance(value, str):
+        raise ValueError(f"not text: {value!r}")
+    return value
+
+
+def _read_text_list(value) -> tuple:
+    if isinstance(value, str):
+        value = [m.strip() for m in value.split(",") if m.strip()]
+    elif not isinstance(value, Sequence):
+        raise ValueError(f"not a comma list or a sequence: {value!r}")
+    return tuple(_read_text(m) for m in value)
+
+
+# The reader for each declared field type. Text is read as a config file or
+# a flag gives it, so every route to a field takes the same values.
+_READERS = {
+    int: _read_int,
+    float: _read_float,
+    str: _read_text,
+    tuple[str, ...]: _read_text_list,
+}
+
+
+def config_key(default, help: str, lo=None, hi=None):
+    """An ``ExperimentConfig`` field: its default, its flag help, and the
+    inclusive range ``lo``..``hi`` its value must lie in (None: unbounded),
+    kept in the field's metadata for ``__post_init__`` and the CLI."""
+    return field(default=default, metadata={"help": help, "lo": lo, "hi": hi})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Full description of one BER sweep: the uplink scenario, then the
+    quantizer, methods, MSNR grid, budget and output files.
+
+    The scenario is the array/user geometry plus the channel-model knobs.
+    ``rho_db`` is the receive-power dynamic range (dB) between the strongest
+    and weakest user; all other users are power-controlled to within
+    ``dr_limit_db``. The geometric channel model draws ``paths`` propagation
+    paths per user with angles uniform in ``+-angle_sector_deg``, per-path
+    powers decaying by ``path_decay_db`` per path, and log-normal shadowing
+    of ``shadowing_std_db`` (median 1).
+
+    Each field is declared once by ``config_key`` (type, default, range,
+    help). ``__post_init__`` reads every field by the rule for its type,
+    alike for text from a file or flag and for Python values
+    (``q_bits="3"`` is 3; ``methods`` is a comma list or a sequence), checks
+    that a float is finite and that each value lies in its range, then
+    applies the rules that tie keys together: ``bs_antennas >= ues``,
+    ``clusters`` divides ``bs_antennas``, ``rho_db >= dr_limit_db``,
+    ``methods`` names distinct known methods, ``out`` is not empty and not
+    the file ``plot_script`` names, and ``msnr_stop >= msnr_start``. An
+    empty ``plot_script`` means no script. A bad value raises a ValueError
+    that names the key.
     """
 
+    bs_antennas: int = config_key(256, "basestation antenna count")
+    ues: int = config_key(32, "number of single-antenna users", lo=2)
+    clusters: int = config_key(32, "number of antenna clusters", lo=1)
+    # rho_max; with dr_limit_db <= rho_db it bounds the control window too.
+    rho_db: float = config_key(30.0, "strong-user dynamic range [dB]", hi=200.0)
+    dr_limit_db: float = config_key(
+        6.0, "receive-power window of the power-controlled users [dB]", lo=0.0
+    )
+    paths: int = config_key(5, "propagation paths per user", lo=1)
+    angle_sector_deg: float = config_key(
+        60.0, "path angles are uniform in +- this [deg]", lo=0.0, hi=90.0
+    )
+    path_decay_db: float = config_key(
+        5.0, "power decay per successive path [dB]", lo=0.0
+    )
+    shadowing_std_db: float = config_key(
+        8.0, "log-normal shadowing spread (median 1) [dB]", lo=0.0, hi=100.0
+    )
     q_bits: int = config_key(3, "ADC resolution in bits", lo=1, hi=12)
     methods: tuple[str, ...] = config_key(
         METHODS, f"comma list from: {', '.join(METHODS)}"
@@ -77,7 +157,34 @@ class ExperimentConfig(ScenarioConfig):
     threads: int = config_key(1, "worker threads for the sweep", lo=1)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        for f in fields(self):
+            name, kind = f.name, _FIELD_TYPES[f.name]
+            try:
+                value = _READERS[kind](getattr(self, name))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"bad value for key '{name}': {exc}") from exc
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            lo, hi = f.metadata["lo"], f.metadata["hi"]
+            if lo is not None and value < lo:
+                raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+            if hi is not None and value > hi:
+                raise ValueError(f"{name} must be <= {hi}, got {value!r}")
+            object.__setattr__(self, name, value)
+        if self.bs_antennas < self.ues:
+            raise ValueError(
+                f"bs_antennas ({self.bs_antennas}) must be >= ues ({self.ues})"
+            )
+        if self.bs_antennas % self.clusters != 0:
+            raise ValueError(
+                f"bs_antennas ({self.bs_antennas}) must be divisible by "
+                f"clusters ({self.clusters})"
+            )
+        if self.rho_db < self.dr_limit_db:
+            raise ValueError(
+                f"rho_db ({self.rho_db}) must be >= dr_limit_db "
+                f"({self.dr_limit_db})"
+            )
         if not self.methods:
             raise ValueError("methods list must be nonempty")
         for i, m in enumerate(self.methods):
@@ -89,8 +196,19 @@ class ExperimentConfig(ScenarioConfig):
                 raise ValueError(f"methods lists '{m}' more than once")
         if not self.out:
             raise ValueError("out must name the output CSV, got ''")
+        if self.plot_script and (
+            os.path.abspath(self.plot_script) == os.path.abspath(self.out)
+        ):
+            raise ValueError(
+                "plot_script must name another file than out, "
+                f"got {self.plot_script!r}"
+            )
         if self.msnr_stop < self.msnr_start:
             raise ValueError("msnr_stop must be >= msnr_start")
+
+    @property
+    def antennas_per_cluster(self) -> int:
+        return self.bs_antennas // self.clusters
 
     def msnr_grid(self) -> tuple:
         n = int(np.floor((self.msnr_stop - self.msnr_start) / self.msnr_step + 1e-9))
@@ -100,6 +218,10 @@ class ExperimentConfig(ScenarioConfig):
         # Shortest power-of-two pilot block covering all users (K = U when
         # the user count is itself a power of two).
         return 1 << (self.ues - 1).bit_length()
+
+
+# The resolved field annotations, read once.
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,6 @@ def test_criterion_4_optimal_step_size_grid_search():
 
 def test_criterion_5_fine_quantization_matches_unquantized():
     from hdrmimo.channel import (
-        ScenarioConfig,
         noise_variance_from_msnr,
         observe,
         realize_channel,
@@ -188,7 +187,7 @@ def test_criterion_5_fine_quantization_matches_unquantized():
 
     start = time.perf_counter()
     msnr_db = 8.0  # operating point with BER near 1e-2 for this geometry
-    scen = ScenarioConfig(bs_antennas=32, ues=4, clusters=4, rho_db=30.0)
+    scen = ExperimentConfig(bs_antennas=32, ues=4, clusters=4, rho_db=30.0)
     quant = design_quantizer(12)
     ident = identity_transform(32, 4)
     rng = np.random.default_rng(1005)

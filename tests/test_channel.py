@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hdrmimo.channel import (
-    ScenarioConfig,
     apply_power_control,
     complex_noise,
     generate_channel,
@@ -14,15 +13,18 @@ from hdrmimo.channel import (
     set_strong_ue_gain,
     steering_vector,
 )
+from hdrmimo.harness import ExperimentConfig
 
 
 def small_cfg(**kwargs):
     defaults = dict(bs_antennas=16, ues=4, clusters=4, rho_db=30.0)
     defaults.update(kwargs)
-    return ScenarioConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 class TestScenarioConfig:
+    """The scenario keys of ExperimentConfig."""
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             small_cfg(clusters=3)

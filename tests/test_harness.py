@@ -1,4 +1,4 @@
-import inspect
+import os
 import re
 import shlex
 import sys
@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdrmimo import linalg
-from hdrmimo.channel import ScenarioConfig, realize_channel
+from hdrmimo import cli, linalg
 from hdrmimo.cli import build_parser, config_from_argv
 from hdrmimo.cli import main as cli_main
 from hdrmimo.harness import (
@@ -87,24 +86,24 @@ def experiment_configs(draw):
     """Any valid ExperimentConfig, every field drawn."""
     clusters = draw(st.integers(1, 8))
     bs_antennas = clusters * draw(st.integers(2, 8))
-    nonnegative = st.floats(0.0, 1e6)
-    dr_limit_db = draw(nonnegative)
+    dr_limit_db = draw(st.floats(0.0, 200.0))
     msnr_start = draw(st.floats(-1000.0, 1000.0))
     # Any path, including ones that start with "-" and the bare "--",
     # which argparse cannot carry as an option value.
     path = st.sampled_from(["--", "-", "-o.csv"]) | st.from_regex(
         r"[a-z0-9_./-]{1,12}", fullmatch=True
     )
+    out = draw(path)
     return ExperimentConfig(
         bs_antennas=bs_antennas,
         ues=draw(st.integers(2, bs_antennas)),
         clusters=clusters,
-        rho_db=dr_limit_db + draw(nonnegative),
+        rho_db=draw(st.floats(dr_limit_db, 200.0)),
         dr_limit_db=dr_limit_db,
         paths=draw(st.integers(1, 12)),
-        angle_sector_deg=draw(nonnegative),
-        path_decay_db=draw(nonnegative),
-        shadowing_std_db=draw(nonnegative),
+        angle_sector_deg=draw(st.floats(0.0, 90.0)),
+        path_decay_db=draw(st.floats(0.0, 1e6)),
+        shadowing_std_db=draw(st.floats(0.0, 100.0)),
         q_bits=draw(st.integers(1, 12)),
         methods=tuple(
             draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True))
@@ -115,8 +114,11 @@ def experiment_configs(draw):
         realizations=draw(st.integers(1, 10**6)),
         symbols=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**63)),
-        out=draw(path),
-        plot_script=draw(st.just("") | path),
+        out=out,
+        plot_script=draw(
+            st.just("")
+            | path.filter(lambda p: os.path.abspath(p) != os.path.abspath(out))
+        ),
         threads=draw(st.integers(1, 64)),
     )
 
@@ -143,22 +145,6 @@ DECLARED_BOUNDS = [
 
 
 class TestConfig:
-    def test_scenario_fields_declared_once(self):
-        # ExperimentConfig inherits the scenario fields and their checks.
-        assert issubclass(ExperimentConfig, ScenarioConfig)
-        scenario_keys = {f.name for f in fields(ScenarioConfig)}
-        assert scenario_keys.isdisjoint(inspect.get_annotations(ExperimentConfig))
-        assert scenario_keys < {f.name for f in fields(ExperimentConfig)}
-
-    def test_realize_channel_takes_the_sweep_config(self):
-        cfg = smoke_cfg(rho_db=25.0, paths=3, shadowing_std_db=4.0)
-        scenario = ScenarioConfig(
-            **{f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
-        )
-        a = realize_channel(cfg, np.random.default_rng(4))
-        b = realize_channel(scenario, np.random.default_rng(4))
-        assert np.array_equal(a, b)
-
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(cfg=experiment_configs())
     def test_round_trip_through_file_and_flags(self, tmp_path_factory, cfg):
@@ -199,20 +185,17 @@ class TestConfig:
         value = getattr(parse_config(overrides={key: float(default)}), key)
         assert value == default and type(value) is int
 
-    @pytest.mark.parametrize("cls", [ScenarioConfig, ExperimentConfig])
-    def test_direct_construction_rejects_bad_values_by_key(self, cls):
+    def test_direct_construction_rejects_bad_values_by_key(self):
         # The same rules as parse_config, with no parser in between.
-        hints = get_type_hints(cls)
         cases = [(key, value) for key in INT_KEYS for value in (3.7, True)]
         cases += [(key, value) for key in FLOAT_KEYS for value in (True, np.nan)]
         cases += [(key, value) for key in TEXT_KEYS for value in (5, [])]
-        cases = [(key, value) for key, value in cases if key in hints]
-        assert len(cases) == (18 if cls is ScenarioConfig else 38)
+        assert len(cases) == 38
         for key, value in cases:
             with pytest.raises(
                 ValueError, match=f"bad value for key '{key}'|{key} must be finite"
             ):
-                cls(**{key: value})
+                ExperimentConfig(**{key: value})
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(cfg=experiment_configs())
@@ -352,6 +335,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="^out must name the output CSV"):
             ExperimentConfig(out="")
 
+    @pytest.mark.parametrize(
+        "out,plot_script",
+        [("same.csv", "same.csv"), ("same.csv", "./same.csv"), ("a/b", "a/../a/b")],
+    )
+    def test_plot_script_naming_the_output_csv_rejected_by_name(
+        self, out, plot_script
+    ):
+        # The script would overwrite the CSV the sweep has just written.
+        pattern = "^plot_script must name another file than out, got "
+        with pytest.raises(ValueError, match=pattern):
+            ExperimentConfig(out=out, plot_script=plot_script)
+
     def test_msnr_range_bounds_accepted(self):
         cfg = ExperimentConfig(msnr_start=-1000.0, msnr_stop=1000.0, msnr_step=1e-5)
         assert (cfg.msnr_start, cfg.msnr_stop, cfg.msnr_step) == (-1000.0, 1000.0, 1e-5)
@@ -390,6 +385,23 @@ class TestRunTrial:
         for method in METHODS:
             errors, bits = run_trial(cfg, method, msnr_db, 0)
             assert 0 <= errors <= bits == 10 * 4 * cfg.ues
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"rho_db": 200.0, "dr_limit_db": 0.0},
+            {"rho_db": 200.0, "dr_limit_db": 200.0},
+            {"angle_sector_deg": 90.0},
+            {"shadowing_std_db": 100.0},
+        ],
+    )
+    def test_every_method_runs_at_the_physical_upper_bounds(self, bound):
+        cfg = smoke_cfg(**bound, realizations=20)
+        for msnr_db in (-1000.0, 1000.0):
+            for method in METHODS:
+                for r in range(cfg.realizations):
+                    errors, bits = run_trial(cfg, method, msnr_db, r)
+                    assert 0 <= errors <= bits == cfg.symbols * 4 * cfg.ues
 
     def test_every_method_runs_at_a_zero_power_control_window(self):
         cfg = smoke_cfg(dr_limit_db=0.0, realizations=1)
@@ -767,6 +779,31 @@ class TestCli:
             config_from_argv(["--out", ""])
         assert exc.value.code == 2
         assert "out must name the output CSV" in capsys.readouterr().err
+
+    def test_plot_script_over_the_csv_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            config_from_argv(["--out", "same.csv", "--plot-script", "./same.csv"])
+        assert exc.value.code == 2
+        assert "plot_script must name another file than out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["out", "plot_script"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_path_is_a_usage_error_before_the_sweep(
+        self, tmp_path, monkeypatch, capsys, key, where
+    ):
+        def refuse(cfg):
+            raise AssertionError("run_sweep called for an unwritable path")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        path = tmp_path
+        if where == "missing directory":
+            path = tmp_path / "nodir" / "x.csv"
+        paths = {"out": str(tmp_path / "ok.csv"), key: str(path)}
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in paths.items()]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"{key} names a {where}" in capsys.readouterr().err
 
     def test_duplicate_method_flag_names_the_key(self, capsys):
         with pytest.raises(SystemExit) as exc:

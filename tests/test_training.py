@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hdrmimo.channel import ScenarioConfig, noise_variance_from_msnr, realize_channel
+from hdrmimo.channel import noise_variance_from_msnr, realize_channel
+from hdrmimo.harness import ExperimentConfig
 from hdrmimo.training import (
     covariance_blocks,
     estimate_from_training,
@@ -184,7 +185,7 @@ class TestStrongestUeIndex:
     def test_detection_rate_at_high_dynamic_range(self):
         # With the strong user 30 dB above the rest and K = U pilots, the
         # noisy estimate still identifies it essentially always.
-        cfg = ScenarioConfig(bs_antennas=16, ues=4, clusters=4, rho_db=30.0)
+        cfg = ExperimentConfig(bs_antennas=16, ues=4, clusters=4, rho_db=30.0)
         pilots = generate_pilots(4, 4)
         hits = 0
         trials = 1000
