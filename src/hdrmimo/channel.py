@@ -22,31 +22,37 @@ def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
     return np.exp(1j * np.pi * antenna * sin)
 
 
+_NOISE_CHUNK = 1 << 16  # floats in the buffer the noise is drawn through
+
+
 def _add_complex_noise(
     rng: np.random.Generator, out: np.ndarray, variance: float
 ) -> None:
-    # Adds scale * (a + 1j*b), scale = sqrt(variance/2), to the complex array
-    # ``out`` in place. All real parts a are drawn before all imaginary parts
-    # b, as two rng.standard_normal(out.shape) calls would draw them, into one
-    # reused float buffer of half the size of ``out``. The negated test also
-    # rejects a NaN variance.
+    # Adds scale * (a + 1j*b), scale = sqrt(variance/2), to the C-contiguous
+    # complex array ``out`` in place. All real parts a are drawn before all
+    # imaginary parts b, as two rng.standard_normal(out.shape) calls would
+    # draw them, through one reused buffer of at most _NOISE_CHUNK floats.
+    # The negated test also rejects a NaN variance.
     if not variance >= 0:
         raise ValueError(f"noise variance must be nonnegative, got {variance}")
     scale = np.sqrt(variance / 2.0)
-    draws = np.empty(out.shape)
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=draws)
-        draws *= scale
-        part += draws
+    flat = out.reshape(-1, copy=False)
+    draws = np.empty(min(flat.size, _NOISE_CHUNK))
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, _NOISE_CHUNK):
+            chunk = draws[: flat.size - start]
+            rng.standard_normal(out=chunk)
+            chunk *= scale
+            part[start : start + chunk.size] += chunk
 
 
 def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """I.i.d. circularly-symmetric complex Gaussian, given variance per entry.
 
-    Allocates the complex result and one float buffer of half its size:
-    the real parts are drawn first, then the imaginary parts, each scaled in
-    place by sqrt(variance/2). For a positive variance the result is bit for
-    bit ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
+    Allocates the result and one buffer of at most ``_NOISE_CHUNK`` floats,
+    in which the real and then the imaginary parts are drawn slice by slice
+    and scaled by sqrt(variance/2). For a positive variance the result is bit
+    for bit ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
     from the same draws of ``rng``. A negative or NaN variance raises
     ValueError.
     """
@@ -177,9 +183,9 @@ def observe(
 
     ``s`` may be a length-U symbol vector or a (U, n) block of symbol
     vectors; the noise is drawn per entry of the output. Allocates the
-    product h @ s and one float buffer of half its size, in which the real
-    and then the imaginary noise parts are drawn, scaled and added to the
-    product in place. For a positive noise variance the result is bit for
+    product h @ s and one buffer of at most ``_NOISE_CHUNK`` floats, in which
+    the real and then the imaginary noise parts are drawn slice by slice,
+    scaled and added to the product in place: for a positive ``n0``, bit for
     bit ``h @ s + complex_noise(rng, shape, n0)``, drawn in the same order.
     """
     s = np.asarray(s)

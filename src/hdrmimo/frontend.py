@@ -10,6 +10,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
+from .channel import _NOISE_CHUNK
 from .linalg import HERMITIAN_RTOL
 
 
@@ -175,17 +176,28 @@ def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
     return SpatialTransform(v)
 
 
-def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
+def _check_out(out: np.ndarray | None, shape: tuple) -> None:
+    if out is not None and not (
+        out.shape == shape and out.dtype == complex and out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+
+
+def apply_transform(
+    transform: SpatialTransform, y: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply the block-diagonal transform to a vector or to matrix columns.
 
     Each cluster's output depends only on that cluster's input: all C
     clusters are reflected at once by the batched rank-1 update
     x - w v (v^H x) on the (C, S, n) view of ``y``, and the dense matrix is
-    never formed. The result is one new output-sized array, except for the
-    identity transform, which returns ``y`` itself (as a complex array)
-    without copying: callers must not write to the result of an identity.
-    A passthrough row has w = 0, so for finite input its output equals its
-    input exactly.
+    never formed. The C n coefficients w v^H x come first (1/S of a block),
+    then the updates, in column slices of at most ``_NOISE_CHUNK`` floats,
+    into ``out`` (a C-contiguous complex array of the input's shape, else
+    ValueError; it may be ``y`` itself) or else one new array, except that
+    the identity returns ``y`` itself (as a complex array) uncopied: callers
+    must not write to it. A passthrough row has w = 0, so for finite input
+    its output equals its input exactly.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape[0] != transform.dim:
@@ -193,16 +205,24 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
             f"input dimension {y.shape[0]} does not match transform dimension "
             f"{transform.dim}"
         )
+    _check_out(out, y.shape)
     if transform.is_identity:
-        return y
+        if out is None or out is y:
+            return y
+        np.copyto(out, y)
+        return out
     v, w = transform.vectors, transform._weights
     x = y.reshape(transform.clusters, transform.block_size, -1)
     coef = v.conj()[:, None, :] @ x
     coef *= w[:, None, None]
-    # One output-sized buffer: the update, then x minus it in place.
-    reflected = v[:, :, None] * coef
-    np.subtract(x, reflected, out=reflected)
-    return reflected.reshape(y.shape)
+    if out is None:
+        out = np.empty(y.shape, complex)
+    z = out.reshape(x.shape)
+    step = max(1, _NOISE_CHUNK // (2 * transform.dim))
+    for start in range(0, x.shape[2], step):
+        cols = slice(start, start + step)
+        np.subtract(x[:, :, cols], v[:, :, None] * coef[:, :, cols], out=z[:, :, cols])
+    return out
 
 
 def _cell_edges(q: int, delta: float) -> np.ndarray:
@@ -345,15 +365,18 @@ def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:
 
 
 def adc(
-    y_tilde: np.ndarray, gains: AgcGains, quant: QuantizerModel
+    y_tilde: np.ndarray,
+    gains: AgcGains,
+    quant: QuantizerModel,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """AGC scaling followed by midrise quantization of both real dimensions.
 
     Accepts a length-B vector or a (B, n) block of receive vectors in any
-    memory layout and leaves it unchanged. Allocates one C-ordered
-    output-sized buffer, the scaled samples ``y_tilde * omega``, and
-    quantizes its interleaved float view in place, bit for bit as
-    ``midrise`` of that view would.
+    memory layout. Writes the scaled samples ``y_tilde * omega`` into ``out``
+    (as in ``apply_transform``; it may be ``y_tilde`` itself) or else one new
+    C-ordered array, leaving the input unchanged, and quantizes its
+    interleaved float view in place, bit for bit as ``midrise`` would.
     """
     y_tilde = np.asarray(y_tilde, dtype=complex)
     omega = gains.omega
@@ -362,8 +385,9 @@ def adc(
             f"input dimension {y_tilde.shape[0]} does not match gain count "
             f"{omega.shape[0]}"
         )
+    _check_out(out, y_tilde.shape)
     scaled = np.multiply(
-        y_tilde, omega if y_tilde.ndim == 1 else omega[:, None], order="C"
+        y_tilde, omega if y_tilde.ndim == 1 else omega[:, None], out=out, order="C"
     )
     _midrise_inplace(scaled.view(float), quant.delta, quant.q)
     return scaled

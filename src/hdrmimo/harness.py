@@ -305,14 +305,13 @@ def run_trial(
     pilots = generate_pilots(cfg.ues, cfg.pilot_length())
     y_train = simulate_training(h, pilots, n0, rng)
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
-    y_block = observe(h, modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T, n0, rng)
+    y = observe(h, modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T, n0, rng)
 
     est = estimate_from_training(y_train, pilots, cfg.clusters)
-    # The data path holds at most two (B, n) blocks at a time: each block is
-    # dropped as soon as the next stage has consumed it.
+    # The received block y is the data path's one (B, n) block: the transform
+    # and the ADC write over it in place, and it is dropped once equalized.
     if method == "perfect":
         w = build_unquantized_lmmse(est.h_hat, n0)
-        r_block = y_block
     else:
         if method == "hr-iso":
             transform = design_hr_iso(est.h_hat[:, est.strong_index], cfg.clusters)
@@ -323,21 +322,19 @@ def run_trial(
         quant = design_quantizer(cfg.q_bits)
         gains = compute_agc(est.c_y_blocks, transform)
         w = build_lmmse(est.h_hat, transform, gains, quant, n0)
-        y_tilde = apply_transform(transform, y_block)
         # Sampled unitarity check: the transform must conserve energy.
-        n_in = float(np.linalg.norm(y_block[:, 0]))
-        n_out = float(np.linalg.norm(y_tilde[:, 0]))
+        n_in = float(np.linalg.norm(y[:, 0]))
+        y = apply_transform(transform, y, out=y)
+        n_out = float(np.linalg.norm(y[:, 0]))
         if abs(n_out - n_in) > 1e-12 * max(n_in, 1.0):
             raise RuntimeError(
                 f"spatial transform broke energy conservation: "
                 f"||Fy|| = {n_out!r} vs ||y|| = {n_in!r}"
             )
-        del y_block
-        r_block = adc(y_tilde, gains, quant)
-        del y_tilde
+        y = adc(y, gains, quant, out=y)
 
-    s_hat = equalize(w, r_block)
-    del r_block
+    s_hat = equalize(w, y)
+    del y
     # s_hat is (U, n); its transpose lists the symbols in tx_bits order.
     rx_bits = hard_slice(s_hat.T)
     return count_bit_errors(tx_bits, rx_bits)

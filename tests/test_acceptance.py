@@ -388,8 +388,8 @@ def test_criterion_8_determinism_and_energy_guard(tmp_path, monkeypatch):
     # non-unitary transform has to abort the trial.
     real_apply = harness_module.apply_transform
 
-    def rigged(transform, y):
-        return 1.0001 * real_apply(transform, y)
+    def rigged(transform, y, **kw):
+        return 1.0001 * real_apply(transform, y, **kw)
 
     monkeypatch.setattr(harness_module, "apply_transform", rigged)
     cfg = ExperimentConfig(**base, threads=1)

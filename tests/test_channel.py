@@ -234,9 +234,10 @@ class TestObserve:
         with pytest.raises(ValueError):
             observe(np.ones((4, 2)), np.ones(3), 0.0, np.random.default_rng(0))
 
-    def test_wide_block_allocates_output_and_half_buffer(self):
+    def test_wide_block_allocates_output_and_one_noise_slice(self):
         # The product h @ s plus the reused float buffer of the noise draws,
-        # half an output; 5% of an output is slack (measured: 1.5001).
+        # _NOISE_CHUNK floats (0.026 of this output); the rest of 10% of an
+        # output is slack (measured: 1.026).
         rng = np.random.default_rng(10)
         h = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
         s = (rng.standard_normal((20000, 8)) + 1j).T
@@ -248,4 +249,4 @@ class TestObserve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.55 * block
+        assert peak < 1.1 * block

@@ -169,6 +169,25 @@ class TestNoise:
         # The same number of draws: the streams continue in step.
         assert rng.standard_normal() == ref_rng.standard_normal()
 
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("size", ["chunk-1", "chunk", "chunk+1", "2.5*chunk"])
+    def test_draws_across_noise_slices(self, size, ndim):
+        # Sizes at and across the edges of the slices the noise is drawn in;
+        # in 2-D, rows of the largest of 64, 5 and 1 columns that fits.
+        chunk = channel._NOISE_CHUNK
+        n = {
+            "chunk-1": chunk - 1,
+            "chunk": chunk,
+            "chunk+1": chunk + 1,
+            "2.5*chunk": 5 * chunk // 2,
+        }[size]
+        cols = next(k for k in (64, 5, 1) if n % k == 0)
+        shape = (n,) if ndim == 1 else (n // cols, cols)
+        rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+        out = complex_noise(rng, shape, 0.37)
+        assert_same_floats(out, reference_complex_noise(ref_rng, shape, 0.37))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_zero_variance_gives_zeros(self):
         rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
         out = complex_noise(rng, (4, 6), 0.0)
@@ -176,7 +195,7 @@ class TestNoise:
         assert not np.any(out)
         assert rng.standard_normal() == ref_rng.standard_normal()
 
-    @pytest.mark.parametrize("n", [None, 1, 3, 200])
+    @pytest.mark.parametrize("n", [None, 1, 3, 200, 5000])
     @pytest.mark.parametrize("n0", [0.5, 0.013])
     def test_observe(self, n, n0):
         rng = np.random.default_rng(23)
@@ -279,6 +298,71 @@ class TestQuantizer:
             out = adc(y, gains, quant)
             assert out.flags.c_contiguous
             assert_same_floats(out, adc(np.ascontiguousarray(y), gains, quant))
+
+
+class TestOutArgument:
+    """``apply_transform`` and ``adc`` with ``out``, in place or not, give
+    the bits of their ``out=None`` results."""
+
+    @staticmethod
+    def transforms(rng):
+        # Every kind of cluster: reflecting, passthrough, and all identity.
+        h = random_complex(rng, 8, 8)
+        h[[1, 4, 5]] = 0.0
+        return [
+            design_hr_iso(random_complex(rng, 64), 8),
+            design_hr_iso(h.reshape(-1), 8),
+            identity_transform(64, 8),
+        ]
+
+    # n = 1061 is not a multiple of the column slice (512 columns at B = 64).
+    @pytest.mark.parametrize("n", [None, 1, 1061])
+    def test_apply_transform(self, n):
+        rng = np.random.default_rng(33)
+        y = random_complex(rng, 64) if n is None else random_complex(rng, 64, n)
+        for t in self.transforms(rng):
+            want = apply_transform(t, y)
+            out = np.full_like(y, np.nan)
+            assert apply_transform(t, y, out=out) is out
+            assert_same_floats(out, want)
+            in_place = y.copy()
+            assert apply_transform(t, in_place, out=in_place) is in_place
+            assert_same_floats(in_place, want)
+
+    @pytest.mark.parametrize("q", [1, 3, 12])
+    @pytest.mark.parametrize("n", [None, 1, 1061])
+    def test_adc(self, q, n):
+        rng = np.random.default_rng(34)
+        quant = design_quantizer(q)
+        gains = AgcGains(rng.uniform(0.1, 10.0, 64))
+        y = random_complex(rng, 64) if n is None else random_complex(rng, 64, n)
+        want = adc(y, gains, quant)
+        out = np.full_like(y, np.nan)
+        assert adc(y, gains, quant, out=out) is out
+        assert_same_floats(out, want)
+        in_place = y.copy()
+        assert adc(in_place, gains, quant, out=in_place) is in_place
+        assert_same_floats(in_place, want)
+
+    def test_bad_out_rejected_by_name(self):
+        rng = np.random.default_rng(35)
+        y = random_complex(rng, 64, 30)
+        wide = random_complex(rng, 64, 60)
+        t = design_hr_iso(random_complex(rng, 64), 8)
+        gains, quant = AgcGains(np.ones(64)), design_quantizer(3)
+        for bad in (
+            np.empty((64, 31), complex),  # wrong shape
+            np.empty((64, 30)),  # not complex
+            np.empty((64, 30), np.complex64),  # not complex128
+            np.asfortranarray(y),  # not C-contiguous
+            wide[:, ::2],  # a strided view
+        ):
+            with pytest.raises(ValueError, match="out"):
+                apply_transform(t, y, out=bad)
+            with pytest.raises(ValueError, match="out"):
+                apply_transform(identity_transform(64, 8), y, out=bad)
+            with pytest.raises(ValueError, match="out"):
+                adc(y, gains, quant, out=bad)
 
 
 class TestHardSlice:

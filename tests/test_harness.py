@@ -494,12 +494,13 @@ class TestRunTrial:
                 tracemalloc.stop()
             assert peak < one_matrix / 2, (method, peak)
 
-    def test_long_block_holds_at_most_two_blocks_and_a_half(self):
+    def test_long_block_holds_at_most_one_block_and_a_half(self):
         # With B = 64, U = 8 and 20,000 symbols one (B, n) complex block is
-        # 20.5 MB. The data path holds at most two at once (the received
-        # block and its transform or quantized copy) plus the transmitted
-        # bits, a quarter block: 2.38 blocks measured. A stage that builds
-        # block-sized temporaries goes over.
+        # 20.5 MB. The data path holds one: the received block, which the
+        # transform and the ADC overwrite in place, plus the transmitted
+        # bits, a quarter block, and slices of an eighth block or less:
+        # 1.40 blocks measured for perfect, wsu and none, 1.42 for hr-iso
+        # and hr-max. A stage that builds a block-sized temporary goes over.
         cfg = smoke_cfg(realizations=1, symbols=20000)
         block = 64 * 20000 * np.dtype(complex).itemsize
         for method in METHODS:
@@ -510,7 +511,7 @@ class TestRunTrial:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 2.5 * block, (method, peak / block)
+            assert peak < 1.5 * block, (method, peak / block)
 
     def test_no_per_cluster_primitives_in_a_trial(self, monkeypatch):
         # Reflector design, application and AGC work on whole (C, S) arrays;
