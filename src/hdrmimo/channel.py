@@ -35,8 +35,10 @@ def _add_complex_noise(
     # The negated test also rejects a NaN variance.
     if not variance >= 0:
         raise ValueError(f"noise variance must be nonnegative, got {variance}")
+    if not out.flags.c_contiguous:
+        raise ValueError("noise target must be C-contiguous")
     scale = np.sqrt(variance / 2.0)
-    flat = out.reshape(-1, copy=False)
+    flat = out.reshape(-1)
     draws = np.empty(min(flat.size, _NOISE_CHUNK))
     for part in (flat.real, flat.imag):
         for start in range(0, flat.size, _NOISE_CHUNK):

@@ -10,8 +10,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
-from .channel import _NOISE_CHUNK
 from .linalg import HERMITIAN_RTOL
+
+_SLICE_FLOATS = 1 << 16  # floats per column slice of apply_transform's update
 
 
 @dataclass(frozen=True)
@@ -176,11 +177,12 @@ def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
     return SpatialTransform(v)
 
 
-def _check_out(out: np.ndarray | None, shape: tuple) -> None:
+def _check_out(out: np.ndarray | None, y: np.ndarray) -> None:
+    # out, if given, must be the input itself, a C-contiguous complex array.
     if out is not None and not (
-        out.shape == shape and out.dtype == complex and out.flags.c_contiguous
+        out is y and out.dtype == complex and out.flags.c_contiguous
     ):
-        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+        raise ValueError("out must be None or the input, a C-contiguous complex array")
 
 
 def apply_transform(
@@ -192,25 +194,22 @@ def apply_transform(
     clusters are reflected at once by the batched rank-1 update
     x - w v (v^H x) on the (C, S, n) view of ``y``, and the dense matrix is
     never formed. The C n coefficients w v^H x come first (1/S of a block),
-    then the updates, in column slices of at most ``_NOISE_CHUNK`` floats,
-    into ``out`` (a C-contiguous complex array of the input's shape, else
-    ValueError; it may be ``y`` itself) or else one new array, except that
-    the identity returns ``y`` itself (as a complex array) uncopied: callers
-    must not write to it. A passthrough row has w = 0, so for finite input
-    its output equals its input exactly.
+    then the updates, in column slices of at most ``_SLICE_FLOATS`` floats,
+    into one new array or, with ``out=y``, into ``y`` itself (which must
+    then be a C-contiguous complex array; any other ``out`` is a
+    ValueError). The identity returns ``y`` itself (as a complex array)
+    uncopied: callers must not write to it. A passthrough row has w = 0, so
+    for finite input its output equals its input exactly.
     """
+    _check_out(out, y)
     y = np.asarray(y, dtype=complex)
     if y.shape[0] != transform.dim:
         raise ValueError(
             f"input dimension {y.shape[0]} does not match transform dimension "
             f"{transform.dim}"
         )
-    _check_out(out, y.shape)
     if transform.is_identity:
-        if out is None or out is y:
-            return y
-        np.copyto(out, y)
-        return out
+        return y
     v, w = transform.vectors, transform._weights
     x = y.reshape(transform.clusters, transform.block_size, -1)
     coef = v.conj()[:, None, :] @ x
@@ -218,7 +217,7 @@ def apply_transform(
     if out is None:
         out = np.empty(y.shape, complex)
     z = out.reshape(x.shape)
-    step = max(1, _NOISE_CHUNK // (2 * transform.dim))
+    step = max(1, _SLICE_FLOATS // (2 * transform.dim))
     for start in range(0, x.shape[2], step):
         cols = slice(start, start + step)
         np.subtract(x[:, :, cols], v[:, :, None] * coef[:, :, cols], out=z[:, :, cols])
@@ -373,11 +372,12 @@ def adc(
     """AGC scaling followed by midrise quantization of both real dimensions.
 
     Accepts a length-B vector or a (B, n) block of receive vectors in any
-    memory layout. Writes the scaled samples ``y_tilde * omega`` into ``out``
-    (as in ``apply_transform``; it may be ``y_tilde`` itself) or else one new
-    C-ordered array, leaving the input unchanged, and quantizes its
+    memory layout. Writes the scaled samples ``y_tilde * omega`` into one new
+    C-ordered array, leaving the input unchanged, or, with ``out=y_tilde``
+    (as in ``apply_transform``), into ``y_tilde`` itself, and quantizes the
     interleaved float view in place, bit for bit as ``midrise`` would.
     """
+    _check_out(out, y_tilde)
     y_tilde = np.asarray(y_tilde, dtype=complex)
     omega = gains.omega
     if y_tilde.shape[0] != omega.shape[0]:
@@ -385,7 +385,6 @@ def adc(
             f"input dimension {y_tilde.shape[0]} does not match gain count "
             f"{omega.shape[0]}"
         )
-    _check_out(out, y_tilde.shape)
     scaled = np.multiply(
         y_tilde, omega if y_tilde.ndim == 1 else omega[:, None], out=out, order="C"
     )

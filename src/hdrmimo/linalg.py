@@ -9,8 +9,6 @@ import numpy as np
 import scipy.linalg
 
 HERMITIAN_RTOL = 1e-12
-# Called directly: scipy.linalg's cho_factor/cho_solve cost more than a U x U solve.
-_ZPOTRF, _ZPOTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex)
 
 
 class EigenPair(NamedTuple):
@@ -90,18 +88,18 @@ def posdef_inverse_apply(a: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(bmat, dtype=complex)
-    factor, info = _ZPOTRF(a, lower=1, clean=0)
-    if info > 0:
+    try:
+        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"Cholesky factorization failed (matrix not positive definite): "
-            f"{info}-th leading minor of the array is not positive definite"
-        )
+            f"Cholesky factorization failed (matrix not positive definite): {exc}"
+        ) from exc
     # Rounding can let the factorization of an exactly singular matrix slip
     # through with a tiny pivot; treat that as a failure too.
-    pivots = np.abs(np.diagonal(factor))
+    pivots = np.abs(np.diagonal(factor[0]))
     if np.any(pivots**2 <= 10.0 * np.finfo(float).eps * np.diagonal(a).real):
         raise np.linalg.LinAlgError("matrix is singular to working precision")
-    return _ZPOTRS(factor, b, lower=1)[0]  # info != 0 only for a bad shape
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def hadamard(k: int) -> np.ndarray:
