@@ -38,9 +38,10 @@ iso = design_hr_iso(h_strong, cfg.clusters)
 hmax = design_hr_max(est.c_y_blocks)
 
 h1 = h[:, 0]
+# apply_transform overwrites its input, so each transform gets a copy.
 print("\nstrong-user energy fraction on each cluster's first output:")
 for name, t in (("no transform", None), ("channel-based", iso), ("covariance-based", hmax)):
-    ht = h1 if t is None else apply_transform(t, h1)
+    ht = h1 if t is None else apply_transform(t, h1.copy())
     first = np.array([abs(ht[c * s]) ** 2 for c in range(cfg.clusters)])
     cluster_tot = np.array(
         [np.sum(np.abs(ht[c * s : (c + 1) * s]) ** 2) for c in range(cfg.clusters)]
@@ -50,7 +51,7 @@ for name, t in (("no transform", None), ("channel-based", iso), ("covariance-bas
 
 # The reflector built from a vector a sends all of a's energy to output 1.
 a = h_strong[:s]
-out = apply_transform(iso, h_strong)[:s]
+out = apply_transform(iso, h_strong.copy())[:s]
 print("\nisolated energy check (cluster 0):")
 print(f"  |first output|^2 = {abs(out[0])**2:.6f}   ||a||^2 = {np.linalg.norm(a)**2:.6f}")
 

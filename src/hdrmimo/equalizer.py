@@ -14,7 +14,7 @@ from .linalg import posdef_inverse_apply
 # last two the quadrature level.
 QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 _PAIR_TO_LEVEL = np.array([0, 1, 3, 2])  # indexed by 2*b0 + b1
-_LEVEL_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+_LEVEL_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 # 16-row tables: _SYMBOLS[8*b0 + 4*b1 + 2*b2 + b3] is the symbol of bits
 # b0..b3, and _BITS[4*i + q] the bits of in-phase level i and quadrature
 # level q.
@@ -55,8 +55,8 @@ def modulate(bits: np.ndarray) -> np.ndarray:
 def hard_slice(s_hat: np.ndarray) -> np.ndarray:
     """Nearest-level 16-QAM decisions followed by the inverse Gray map.
 
-    Returns 4 bits per input symbol, in C order of ``s_hat`` (any shape,
-    views such as a transpose included); hard_slice(modulate(b)) == b.
+    Returns 4 bits per input symbol as uint8, in C order of ``s_hat`` (any
+    shape, views such as a transpose included); hard_slice(modulate(b)) == b.
     Per real dimension the decision index is clip(floor((x*sqrt(10) + 4)/2),
     0, 3), so +-inf take the outer levels. A NaN soft symbol raises
     ValueError.
@@ -109,8 +109,8 @@ def build_lmmse(
 
     by the push-through identity. Only the U x U system G = I_U + A^H A is
     factored; every eigenvalue of G is >= 1, so it is positive definite by
-    construction. The transform is applied through per-cluster rank-1
-    reflections, never as a dense B x B matrix.
+    construction. M is computed in place in a C-ordered copy of Hh, by
+    per-cluster rank-1 reflections (never a dense B x B matrix).
 
     Requires D > 0 entrywise: a noiseless, distortion-free chain (N0 = 0
     and D_q = 0) raises ``np.linalg.LinAlgError``.
@@ -124,7 +124,8 @@ def build_lmmse(
             "noiseless and distortion-free (N0 = 0 and zero Bussgang distortion)"
         )
     d_isqrt = 1.0 / np.sqrt(d)
-    m = gains.omega[:, None] * apply_transform(transform, h_hat)
+    m = apply_transform(transform, np.array(h_hat, dtype=complex, order="C"))
+    m *= gains.omega[:, None]
     a = d_isqrt[:, None] * m
     g = a.conj().T @ a
     np.fill_diagonal(g, np.diagonal(g).real + 1.0)

@@ -177,32 +177,26 @@ def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
     return SpatialTransform(v)
 
 
-def _check_out(out: np.ndarray | None, y: np.ndarray) -> None:
-    # out, if given, must be the input itself, a C-contiguous complex array.
-    if out is not None and not (
-        out is y and out.dtype == complex and out.flags.c_contiguous
+def _check_block(y: np.ndarray) -> None:
+    # The data path writes over its input: a C-contiguous complex128 array.
+    if not (
+        isinstance(y, np.ndarray) and y.dtype == complex and y.flags.c_contiguous
     ):
-        raise ValueError("out must be None or the input, a C-contiguous complex array")
+        raise ValueError("the input must be a C-contiguous complex128 array")
 
 
-def apply_transform(
-    transform: SpatialTransform, y: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Apply the block-diagonal transform to a vector or to matrix columns.
+def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
+    """Apply the block-diagonal transform in place to ``y`` and return ``y``.
 
-    Each cluster's output depends only on that cluster's input: all C
-    clusters are reflected at once by the batched rank-1 update
-    x - w v (v^H x) on the (C, S, n) view of ``y``, and the dense matrix is
-    never formed. The C n coefficients w v^H x come first (1/S of a block),
-    then the updates, in column slices of at most ``_SLICE_FLOATS`` floats,
-    into one new array or, with ``out=y``, into ``y`` itself (which must
-    then be a C-contiguous complex array; any other ``out`` is a
-    ValueError). The identity returns ``y`` itself (as a complex array)
-    uncopied: callers must not write to it. A passthrough row has w = 0, so
-    for finite input its output equals its input exactly.
+    ``y`` is a C-contiguous complex128 vector or (B, n) block; anything else
+    is a ValueError and left unchanged. All C clusters are reflected at once
+    by the batched rank-1 update x - w v (v^H x) on the (C, S, n) view of
+    ``y``; the dense matrix is never formed. The C n coefficients w v^H x
+    come first (1/S of a block), then the updates, in column slices of at
+    most ``_SLICE_FLOATS`` floats. The identity leaves ``y`` untouched; a
+    passthrough row has w = 0, so for finite input its rows keep their values.
     """
-    _check_out(out, y)
-    y = np.asarray(y, dtype=complex)
+    _check_block(y)
     if y.shape[0] != transform.dim:
         raise ValueError(
             f"input dimension {y.shape[0]} does not match transform dimension "
@@ -214,14 +208,11 @@ def apply_transform(
     x = y.reshape(transform.clusters, transform.block_size, -1)
     coef = v.conj()[:, None, :] @ x
     coef *= w[:, None, None]
-    if out is None:
-        out = np.empty(y.shape, complex)
-    z = out.reshape(x.shape)
     step = max(1, _SLICE_FLOATS // (2 * transform.dim))
     for start in range(0, x.shape[2], step):
         cols = slice(start, start + step)
-        np.subtract(x[:, :, cols], v[:, :, None] * coef[:, :, cols], out=z[:, :, cols])
-    return out
+        x[:, :, cols] -= v[:, :, None] * coef[:, :, cols]
+    return y
 
 
 def _cell_edges(q: int, delta: float) -> np.ndarray:
@@ -363,30 +354,19 @@ def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:
     return AgcGains(np.sqrt(2.0 / np.maximum(diag, floor)))
 
 
-def adc(
-    y_tilde: np.ndarray,
-    gains: AgcGains,
-    quant: QuantizerModel,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """AGC scaling followed by midrise quantization of both real dimensions.
-
-    Accepts a length-B vector or a (B, n) block of receive vectors in any
-    memory layout. Writes the scaled samples ``y_tilde * omega`` into one new
-    C-ordered array, leaving the input unchanged, or, with ``out=y_tilde``
-    (as in ``apply_transform``), into ``y_tilde`` itself, and quantizes the
-    interleaved float view in place, bit for bit as ``midrise`` would.
+def adc(y: np.ndarray, gains: AgcGains, quant: QuantizerModel) -> np.ndarray:
+    """AGC scaling, then midrise quantization of both real dimensions, in
+    place on ``y`` (as for ``apply_transform``), which it returns: ``y`` is
+    scaled by ``omega`` and its interleaved float view quantized, bit for
+    bit as ``midrise`` would.
     """
-    _check_out(out, y_tilde)
-    y_tilde = np.asarray(y_tilde, dtype=complex)
+    _check_block(y)
     omega = gains.omega
-    if y_tilde.shape[0] != omega.shape[0]:
+    if y.shape[0] != omega.shape[0]:
         raise ValueError(
-            f"input dimension {y_tilde.shape[0]} does not match gain count "
+            f"input dimension {y.shape[0]} does not match gain count "
             f"{omega.shape[0]}"
         )
-    scaled = np.multiply(
-        y_tilde, omega if y_tilde.ndim == 1 else omega[:, None], out=out, order="C"
-    )
-    _midrise_inplace(scaled.view(float), quant.delta, quant.q)
-    return scaled
+    y *= omega if y.ndim == 1 else omega[:, None]
+    _midrise_inplace(y.view(float), quant.delta, quant.q)
+    return y

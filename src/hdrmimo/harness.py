@@ -154,7 +154,7 @@ class ExperimentConfig:
     seed: int = config_key(1, "master seed for all substreams", lo=0)
     out: str = config_key("results.csv", "output CSV path")
     plot_script: str = config_key("", "also emit a gnuplot script here (empty: none)")
-    threads: int = config_key(1, "worker threads for the sweep", lo=1)
+    threads: int = config_key(1, "worker threads for the sweep", lo=1, hi=64)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -305,7 +305,11 @@ def run_trial(
     pilots = generate_pilots(cfg.ues, cfg.pilot_length())
     y_train = simulate_training(h, pilots, n0, rng)
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
-    y = observe(h, modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T, n0, rng)
+    s = modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T
+    # One byte per bit, as hard_slice returns; the int64 draw dies before y.
+    tx_bits = tx_bits.astype(np.uint8)
+    y = observe(h, s, n0, rng)
+    del s
 
     est = estimate_from_training(y_train, pilots, cfg.clusters)
     # The received block y is the data path's one (B, n) block: the transform
@@ -324,14 +328,14 @@ def run_trial(
         w = build_lmmse(est.h_hat, transform, gains, quant, n0)
         # Sampled unitarity check: the transform must conserve energy.
         n_in = float(np.linalg.norm(y[:, 0]))
-        y = apply_transform(transform, y, out=y)
+        y = apply_transform(transform, y)
         n_out = float(np.linalg.norm(y[:, 0]))
         if abs(n_out - n_in) > 1e-12 * max(n_in, 1.0):
             raise RuntimeError(
                 f"spatial transform broke energy conservation: "
                 f"||Fy|| = {n_out!r} vs ||y|| = {n_in!r}"
             )
-        y = adc(y, gains, quant, out=y)
+        y = adc(y, gains, quant)
 
     s_hat = equalize(w, y)
     del y
@@ -443,7 +447,7 @@ def emit_plot_script(
     script = "\n".join(
         [
             "# Uncoded BER vs median receive SNR; run: gnuplot <this file>",
-            f"csv = '{csv_path}'",
+            "csv = '" + csv_path.replace("'", "''") + "'",
             "set datafile separator ','",
             "set datafile missing 'NaN'",
             "set logscale y",

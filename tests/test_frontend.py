@@ -37,7 +37,7 @@ class TestHrIsoDesign:
     def test_hand_arithmetic_example(self):
         t = design_hr_iso(np.array([3.0, 4.0]), 1)
         assert np.allclose(t.vectors[0], [8.0, 4.0])
-        out = apply_transform(t, np.array([3.0, 4.0]))
+        out = apply_transform(t, np.array([3.0, 4.0], complex))
         assert np.isclose(abs(out[0]), 5.0)
         assert abs(out[1]) < 1e-12
 
@@ -53,7 +53,7 @@ class TestHrIsoDesign:
         assert t.vectors.shape == (2, 2)
         assert not np.any(t.vectors[0])
         y = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        assert np.allclose(apply_transform(t, y)[:2], y[:2])
+        assert np.allclose(apply_transform(t, y.copy())[:2], y[:2])
 
     def test_dimension_not_divisible(self):
         with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ class TestHrIsoDesign:
             s = int(rng.integers(2, 9))
             h = random_complex(rng, 2 * s)
             t = design_hr_iso(h, 2)
-            out = apply_transform(t, h)
+            out = apply_transform(t, h.copy())
             for c in range(2):
                 a = h[c * s : (c + 1) * s]
                 head = out[c * s]
@@ -80,7 +80,7 @@ class TestHrIsoDesign:
         for _ in range(50):
             a = random_complex(rng, 6)
             t = design_hr_iso(a, 1)
-            best = abs(apply_transform(t, a)[0]) ** 2
+            best = abs(apply_transform(t, a.copy())[0]) ** 2
             w = random_complex(rng, 6, 1000)
             others = reflected_first_coordinate(w, a) ** 2
             assert np.all(best >= others - 1e-9 * best)
@@ -163,7 +163,7 @@ class TestApplyTransform:
     def test_identity_passthrough(self):
         t = identity_transform(8, 4)
         y = np.arange(8, dtype=complex)
-        assert np.array_equal(apply_transform(t, y), y)
+        assert np.array_equal(apply_transform(t, y.copy()), y)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(4)
@@ -172,7 +172,7 @@ class TestApplyTransform:
             t = design_hr_iso(h, 3)
             y = random_complex(rng, 12)
             assert np.isclose(
-                np.linalg.norm(apply_transform(t, y)),
+                np.linalg.norm(apply_transform(t, y.copy())),
                 np.linalg.norm(y),
                 rtol=1e-12,
             )
@@ -184,9 +184,10 @@ class TestApplyTransform:
             t = design_hr_iso(h, 4)
             dense = dense_transform_matrix(t)
             y = random_complex(rng, 12)
-            assert np.allclose(apply_transform(t, y), dense @ y, atol=1e-12)
+            assert np.allclose(apply_transform(t, y.copy()), dense @ y, atol=1e-12)
             block = random_complex(rng, 12, 5)
-            assert np.allclose(apply_transform(t, block), dense @ block, atol=1e-12)
+            want = dense @ block
+            assert np.allclose(apply_transform(t, block), want, atol=1e-12)
 
     def test_cluster_locality(self):
         rng = np.random.default_rng(6)
@@ -205,13 +206,13 @@ class TestApplyTransform:
         c = a @ a.conj().T
         t = design_hr_max(diagonal_blocks(c, 2))
         dense = dense_transform_matrix(t)
-        half = apply_transform(t, c)
-        conjugated = apply_transform(t, half.conj().T).conj().T
+        half = apply_transform(t, c.copy())
+        conjugated = apply_transform(t, half.conj().T.copy()).conj().T
         assert np.allclose(conjugated, dense @ c @ dense.conj().T, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_transform(identity_transform(8, 4), np.ones(6))
+        with pytest.raises(ValueError, match="dimension 6"):
+            apply_transform(identity_transform(8, 4), np.ones(6, complex))
 
     def test_malformed_vectors_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -291,7 +292,7 @@ class TestBatchedMatchesPerClusterOracle:
                         expected[k * s : (k + 1) * s] = householder_apply(
                             v, y[k * s : (k + 1) * s]
                         )
-                out = apply_transform(t, y)
+                out = apply_transform(t, y.copy())
                 assert np.all(np.abs(out - expected) <= 1e-12 * np.abs(y).max())
                 for k, v in enumerate(oracle_reflectors(t)):
                     if v is None:  # passthrough rows are copied untouched
@@ -349,13 +350,13 @@ class TestReflectorProperties:
         vectors = data.draw(arrays(complex, (c, s), elements=_entries))
         y = data.draw(arrays(complex, (c * s, 2), elements=_entries))
         t = SpatialTransform(vectors)
-        ty = apply_transform(t, y)
+        ty = apply_transform(t, y.copy())
         scale = max(np.linalg.norm(y), 1e-300)
         norms_in, norms_out = np.linalg.norm(y, axis=0), np.linalg.norm(ty, axis=0)
         assert np.all(np.abs(norms_out - norms_in) <= 1e-12 * scale)
         # Each block is a Hermitian reflector, so F F = I.
         assert np.all(np.abs(apply_transform(t, ty) - y) <= 1e-12 * scale)
-        f = apply_transform(t, np.eye(c * s))
+        f = apply_transform(t, np.eye(c * s, dtype=complex))
         assert np.allclose(f.conj().T @ f, np.eye(c * s), rtol=0, atol=1e-12)
 
     @_PROPERTY
@@ -363,7 +364,7 @@ class TestReflectorProperties:
     def test_hr_iso_isolates_each_slice(self, data):
         c, s = data.draw(_shapes)
         h = data.draw(arrays(complex, (c * s,), elements=_entries))
-        out = apply_transform(design_hr_iso(h, c), h).reshape(c, s)
+        out = apply_transform(design_hr_iso(h, c), h.copy()).reshape(c, s)
         for a, o in zip(h.reshape(c, s), out):
             nrm = np.linalg.norm(a)
             assert abs(o[0] + nrm * complex_sign(a[0])) <= 1e-12 * nrm
@@ -378,7 +379,7 @@ class TestReflectorProperties:
         blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
         t = design_hr_max(blocks)
         # Output 1 of each transformed block carries its top eigenvalue.
-        z = apply_transform(t, np.eye(c * s))
+        z = apply_transform(t, np.eye(c * s, dtype=complex))
         for k, block in enumerate(blocks):
             e = z[k * s : (k + 1) * s, k * s]
             isolated = np.real(e.conj() @ block @ e)
@@ -399,13 +400,6 @@ class TestDataPathMemory:
             tracemalloc.stop()
         return peak / block.nbytes
 
-    def test_apply_allocates_one_output(self):
-        # The output plus the (C, 1, n) coefficients, 1/S of a block.
-        rng = np.random.default_rng(15)
-        y = random_complex(rng, 64, 20000)
-        t = design_hr_iso(random_complex(rng, 64), 8)
-        assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 1.2
-
     def test_apply_identity_returns_its_input(self):
         rng = np.random.default_rng(17)
         y = random_complex(rng, 64, 20000)
@@ -413,7 +407,15 @@ class TestDataPathMemory:
         assert apply_transform(t, y) is y
         assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 0.01
 
-    def test_apply_with_passthrough_rows_allocates_one_output(self):
+    def test_apply_in_place_allocates_coefficients_and_one_slice(self):
+        # The (C, 1, n) coefficients, 1/S of a block, and one column slice
+        # of the update (measured: 0.164 blocks).
+        rng = np.random.default_rng(19)
+        y = random_complex(rng, 64, 20000)
+        t = design_hr_iso(random_complex(rng, 64), 8)
+        assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 0.25
+
+    def test_apply_with_passthrough_rows_in_place(self):
         # Reflecting and passthrough clusters share one pass: no copy of
         # the input, no gather of the reflecting rows.
         rng = np.random.default_rng(18)
@@ -421,35 +423,19 @@ class TestDataPathMemory:
         h = random_complex(rng, 8, 8)
         h[[1, 4, 5]] = 0.0
         t = design_hr_iso(h.reshape(-1), 8)
-        assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 1.2
+        assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 0.25
+        before = y.reshape(8, 8, -1).copy()
         out = apply_transform(t, y).reshape(8, 8, -1)
-        assert np.array_equal(out[[1, 4, 5]], y.reshape(8, 8, -1)[[1, 4, 5]])
-        assert not np.allclose(out[0], y[:8])
-
-    def test_apply_in_place_allocates_coefficients_and_one_slice(self):
-        # With out=y: the (C, 1, n) coefficients, 1/S of a block, and one
-        # column slice of the update (measured: 0.164 blocks).
-        rng = np.random.default_rng(19)
-        y = random_complex(rng, 64, 20000)
-        t = design_hr_iso(random_complex(rng, 64), 8)
-        peak = self.peak_in_blocks(lambda: apply_transform(t, y, out=y), y)
-        assert peak < 0.25
+        assert np.array_equal(out[[1, 4, 5]], before[[1, 4, 5]])
+        assert not np.allclose(out[0], before[0])
 
     def test_adc_in_place_allocates_nothing_block_sized(self):
-        # With out=y the block is scaled and quantized where it lies
-        # (measured: 0.006 blocks).
+        # The block is scaled and quantized where it lies (measured: 0.006
+        # blocks).
         rng = np.random.default_rng(20)
         y = random_complex(rng, 64, 20000)
         gains, quant = AgcGains(np.ones(64)), design_quantizer(3)
-        assert self.peak_in_blocks(lambda: adc(y, gains, quant, out=y), y) < 0.05
-
-    def test_adc_allocates_one_block(self):
-        # The scaled copy, quantized in place, is the output; the slack of
-        # 5% of a block covers the small arrays (measured: 1.006 blocks).
-        rng = np.random.default_rng(16)
-        y = random_complex(rng, 64, 20000)
-        gains, quant = AgcGains(np.ones(64)), design_quantizer(3)
-        assert self.peak_in_blocks(lambda: adc(y, gains, quant), y) < 1.05
+        assert self.peak_in_blocks(lambda: adc(y, gains, quant), y) < 0.05
 
 
 class TestMidrise:

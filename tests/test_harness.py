@@ -494,13 +494,14 @@ class TestRunTrial:
                 tracemalloc.stop()
             assert peak < one_matrix / 2, (method, peak)
 
-    def test_long_block_holds_at_most_one_block_and_a_half(self):
+    def test_long_block_holds_under_1_3_blocks(self):
         # With B = 64, U = 8 and 20,000 symbols one (B, n) complex block is
         # 20.5 MB. The data path holds one: the received block, which the
         # transform and the ADC overwrite in place, plus the transmitted
-        # bits, a quarter block, and slices of an eighth block or less:
-        # 1.40 blocks measured for perfect, wsu and none, 1.42 for hr-iso
-        # and hr-max. A stage that builds a block-sized temporary goes over.
+        # bits, one byte each (1/32 block), and slices of an eighth block or
+        # less: 1.18 blocks measured for perfect, wsu and none, 1.20 for
+        # hr-iso and hr-max. A stage that builds a block-sized temporary, or
+        # bits of 8 bytes each, goes over.
         cfg = smoke_cfg(realizations=1, symbols=20000)
         block = 64 * 20000 * np.dtype(complex).itemsize
         for method in METHODS:
@@ -511,7 +512,7 @@ class TestRunTrial:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 1.5 * block, (method, peak / block)
+            assert peak < 1.3 * block, (method, peak / block)
 
     def test_no_per_cluster_primitives_in_a_trial(self, monkeypatch):
         # Reflector design, application and AGC work on whole (C, S) arrays;
@@ -683,6 +684,16 @@ class TestCsvAndPlot:
         for method in ("wsu", "hr-iso"):
             assert f"'{method}'" in script
         assert "out.csv" in script
+
+    def test_plot_script_quotes_a_csv_path_with_apostrophes(self, tmp_path):
+        # Inside gnuplot's single quotes a quote is written twice.
+        csv_path = "bob's 'run'.csv"
+        path = tmp_path / "plot.gp"
+        emit_plot_script(self.run_small(), str(path), csv_path=csv_path)
+        lines = path.read_text().splitlines()
+        literal = re.fullmatch(r"csv = '((?:[^']|'')*)'", lines[1])
+        assert literal is not None, lines[1]
+        assert literal.group(1).replace("''", "'") == csv_path
 
 
 class TestCli:
