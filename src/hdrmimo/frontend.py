@@ -7,8 +7,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr
 
 from .linalg import HERMITIAN_RTOL
 
@@ -255,6 +253,8 @@ def _midrise_inplace(x: np.ndarray, delta: float, q: int) -> None:
 def _gaussian_cell_moments(q: int, delta: float):
     # Per-cell output levels and standard-normal integrals over the positive
     # half-axis; the quantizer is odd so the negative half mirrors these.
+    from scipy.special import ndtr  # deferred: only design code runs this
+
     edges = _cell_edges(q, delta)
     lo, hi = edges[:-1], edges[1:]
     levels = (lo + hi) / 2.0
@@ -294,6 +294,8 @@ def optimal_step_size(q: int) -> float:
     """MSE-minimizing midrise step size for a unit-variance Gaussian input."""
     if not 1 <= q <= 12:
         raise ValueError(f"supported bit depths are 1..12, got {q}")
+    from scipy.optimize import minimize_scalar  # deferred, as ndtr above
+
     # Coarse geometric scan to bracket the minimum, then a bounded search.
     grid = np.geomspace(1e-4, 4.0, 200)
     coarse = np.array([quantizer_mse(q, d) for d in grid])
@@ -309,11 +311,32 @@ def optimal_step_size(q: int) -> float:
     return float(res.x)
 
 
+# q -> (delta, gamma, dist_power): optimal_step_size(q) and
+# bussgang_constants(q, delta), tabulated so that a sweep need not load
+# scipy.optimize and scipy.special. The tests recompute every entry.
+_DESIGNED = {
+    1: (1.5957691216057197, 0.636619772367577, 0.231335037798227),
+    2: (0.9956866832465869, 0.8811539485287245, 0.10472166643376368),
+    3: (0.5860194303128881, 0.9625603368859995, 0.036037931017433134),
+    4: (0.33520060552880343, 0.9884571139016854, 0.011409646211872015),
+    5: (0.18813878810875367, 0.9965047882593371, 0.003482994856393251),
+    6: (0.10406300180220655, 0.9989599537029747, 0.0010389637124916806),
+    7: (0.0568676647549176, 0.9996956666604536, 0.00030424015204233434),
+    8: (0.030762388531658195, 0.9999123138582848, 8.767849692425944e-05),
+    9: (0.016498965586041876, 0.9999750811625608, 2.491840869756068e-05),
+    10: (0.008785469047518231, 0.9999930030699075, 6.996956239846419e-06),
+    11: (0.004649842333125978, 0.9999980555917519, 1.9444093477538615e-06),
+    12: (0.002448404806738284, 0.9999994644276773, 5.355362494574578e-07),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def design_quantizer(q: int) -> QuantizerModel:
-    """Quantizer with the MSE-optimal step size and its Bussgang constants."""
-    delta = optimal_step_size(q)
-    gamma, dist = bussgang_constants(q, delta)
+    """Quantizer with the MSE-optimal step size and its Bussgang constants,
+    read from the tabulated designs for q = 1..12."""
+    if q not in _DESIGNED:
+        raise ValueError(f"supported bit depths are 1..12, got {q}")
+    delta, gamma, dist = _DESIGNED[q]
     return QuantizerModel(q=q, delta=delta, gamma=gamma, dist_power=dist)
 
 

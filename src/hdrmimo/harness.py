@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import re
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -466,16 +467,19 @@ def emit_plot_script(
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+# A comment runs from a '#' that opens the line or follows whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def load_config_file(path: str) -> dict:
     """Read a flat ``key = value`` config file with '#' comments into
     key -> stripped text; an unknown or repeated key raises a ValueError
-    naming it."""
+    naming it. A '#' starts a comment only at the start of the line or after
+    whitespace, so ``out = run#2.csv`` keeps its value whole."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", raw, count=1).strip()
             if not line:
                 continue
             if "=" not in line:

@@ -4,6 +4,7 @@ identification."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,17 @@ class TrainingOutput:
     strong_index: int  # estimated strongest-user column
 
 
+@functools.lru_cache(maxsize=None)
 def generate_pilots(u: int, k: int) -> np.ndarray:
-    """First u rows of an order-k Hadamard matrix; entries +-1, orthogonal rows."""
+    """First u rows of an order-k Hadamard matrix; entries +-1, orthogonal rows.
+
+    Cached, so the block is built once per (u, k) and returned read-only.
+    """
     if k < u:
         raise ValueError(f"pilot length k ({k}) must be >= user count u ({u})")
-    return hadamard(k)[:u, :]
+    full = hadamard(k)
+    full.flags.writeable = False
+    return full[:u, :]
 
 
 def simulate_training(

@@ -673,3 +673,23 @@ class TestQuantizerModelValidation:
         b = design_quantizer(4)
         assert a is b
         assert 0 < a.gamma <= 1 and a.dist_power >= 0
+
+
+class TestTabulatedDesigns:
+    """design_quantizer reads a table; each entry is what the optimizer and
+    the exact Gaussian integrals compute."""
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_table_is_the_design(self, q):
+        quant = design_quantizer(q)
+        assert quant.q == q
+        # Within the bounded search's xatol of the computed step size.
+        assert abs(quant.delta - optimal_step_size(q)) <= 1e-8
+        gamma, dist = bussgang_constants(q, quant.delta)
+        assert np.isclose(quant.gamma, gamma, rtol=1e-15, atol=0.0)
+        assert np.isclose(quant.dist_power, dist, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("q", [0, 13])
+    def test_out_of_range(self, q):
+        with pytest.raises(ValueError, match="1..12"):
+            design_quantizer(q)

@@ -1,6 +1,7 @@
 import os
 import re
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -21,6 +22,7 @@ from hdrmimo.harness import (
     ExperimentConfig,
     ResultRecord,
     emit_plot_script,
+    load_config_file,
     parse_config,
     read_csv,
     run_sweep,
@@ -246,6 +248,23 @@ class TestConfig:
         assert cfg.bs_antennas == 64
         assert cfg.q_bits == 4
         assert cfg.methods == ("wsu", "hr-iso")
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # Only a '#' that opens the line or follows whitespace starts a
+        # comment; one inside a value is part of it.
+        out = tmp_path / "run#2.csv"
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "#comment at the start\n"
+            f"out = {out}\n"
+            "ues = 8\t# tab before the comment\n"
+            "methods = wsu # comment\n"
+        )
+        assert load_config_file(str(path)) == {
+            "out": str(out), "ues": "8", "methods": "wsu",
+        }
+        cfg = parse_config(str(path))
+        assert (cfg.out, cfg.ues, cfg.methods) == (str(out), 8, ("wsu",))
 
     def test_unknown_key_named_in_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -849,6 +868,41 @@ class TestCli:
     def test_bad_flag_value_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["--clusters", "7"])
+
+
+class TestStartupImports:
+    def test_sweep_loads_no_design_modules(self, tmp_path):
+        # The quantizer designs are tabulated, so a CLI sweep never loads
+        # scipy.optimize or scipy.special; optimal_step_size loads them on
+        # demand. A fresh interpreter, as the suite has loaded them already.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = f"""
+import sys
+import hdrmimo, hdrmimo.cli
+
+heavy = ("scipy.optimize", "scipy.special")
+hdrmimo.cli.main([
+    "--bs-antennas", "16", "--ues", "4", "--clusters", "4",
+    "--msnr-start", "10", "--msnr-stop", "10", "--realizations", "1",
+    "--symbols", "10", "--out", {str(tmp_path / "sweep.csv")!r},
+])
+loaded = [m for m in heavy if m in sys.modules]
+assert not loaded, loaded
+from hdrmimo.frontend import optimal_step_size
+assert abs(optimal_step_size(3) - hdrmimo.design_quantizer(3).delta) <= 1e-8
+assert all(m in sys.modules for m in heavy)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sweep.csv").exists()
 
 
 class TestReadme:
