@@ -28,7 +28,7 @@ rng = np.random.default_rng(3)
 
 h = realize_channel(cfg, rng)
 noise = noise_variance_from_msnr(h, 10.0)
-pilots = generate_pilots(cfg.ues, 8)
+pilots = generate_pilots(cfg.ues)
 y_train = simulate_training(h, pilots, noise, rng)
 est = estimate_from_training(y_train, pilots, cfg.clusters)
 print(f"strongest user (true column 0) estimated as column {est.strong_index}")

@@ -47,7 +47,7 @@ from .harness import (
     run_trial,
     write_csv,
 )
-from .linalg import hadamard, posdef_inverse_apply
+from .linalg import posdef_inverse_apply
 from .training import (
     TrainingOutput,
     covariance_blocks,

@@ -40,14 +40,13 @@ def modulate(bits: np.ndarray) -> np.ndarray:
     values = np.asarray(bits).reshape(-1)
     if values.size % 4 != 0:
         raise ValueError(f"bit count must be a multiple of 4, got {values.size}")
+    # Within [0, 1] (NaN fails both tests) before the cast, which warns on
+    # NaN and out-of-range floats; then no fractional value truncated to 0
+    # by the cast. Whole-array reductions, no temporaries.
+    if values.size and not (values.min() >= 0 and values.max() <= 1):
+        raise ValueError("bits must be 0 or 1")
     bits = values.astype(int, copy=False)
-    # Within [0, 1], and no fractional value truncated to 0 by the cast:
-    # whole-array reductions, no temporaries.
-    if values.size and not (
-        values.min() >= 0
-        and values.max() <= 1
-        and np.count_nonzero(bits) == np.count_nonzero(values)
-    ):
+    if np.count_nonzero(bits) != np.count_nonzero(values):
         raise ValueError("bits must be 0 or 1")
     return _SYMBOLS[bits.reshape(-1, 4) @ _BIT_WEIGHTS]
 

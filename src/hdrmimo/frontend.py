@@ -96,12 +96,22 @@ class AgcGains:
             raise ValueError("AGC gains must be positive and finite")
 
 
+def split_clusters(a: np.ndarray, clusters: int) -> np.ndarray:
+    """The (C, S, ...) view of ``a`` whose leading axis of length B = C S
+    is cut into C consecutive clusters of S antennas.
+
+    Raises ValueError unless C >= 1 divides B.
+    """
+    b = a.shape[0]
+    if clusters < 1 or b % clusters != 0:
+        raise ValueError(f"dimension {b} not divisible by {clusters} clusters")
+    return a.reshape(clusters, b // clusters, *a.shape[1:])
+
+
 @functools.lru_cache(maxsize=None)
 def identity_transform(dim: int, clusters: int) -> SpatialTransform:
     # Cached: a transform is immutable (frozen, read-only array).
-    if dim % clusters != 0:
-        raise ValueError(f"dimension {dim} not divisible by {clusters} clusters")
-    return SpatialTransform(np.zeros((clusters, dim // clusters), complex))
+    return SpatialTransform(split_clusters(np.zeros(dim, complex), clusters))
 
 
 def _unit_phase(a: np.ndarray) -> np.ndarray:
@@ -118,10 +128,7 @@ def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
     multiple of e_1. A zero slice leaves the cluster untouched.
     """
     h_strong = np.asarray(h_strong, dtype=complex).reshape(-1)
-    b = h_strong.shape[0]
-    if b % clusters != 0:
-        raise ValueError(f"dimension {b} not divisible by {clusters} clusters")
-    v = h_strong.reshape(clusters, b // clusters).copy()
+    v = split_clusters(h_strong, clusters).copy()
     nrm = np.linalg.norm(v, axis=1)
     v[:, 0] += nrm * _unit_phase(v[:, 0])
     v[nrm == 0.0] = 0.0

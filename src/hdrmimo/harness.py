@@ -215,11 +215,6 @@ class ExperimentConfig:
         n = int(np.floor((self.msnr_stop - self.msnr_start) / self.msnr_step + 1e-9))
         return tuple(self.msnr_start + i * self.msnr_step for i in range(n + 1))
 
-    def pilot_length(self) -> int:
-        # Shortest power-of-two pilot block covering all users (K = U when
-        # the user count is itself a power of two).
-        return 1 << (self.ues - 1).bit_length()
-
 
 # The resolved field annotations, read once.
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -303,7 +298,7 @@ def run_trial(
     # The draws, in stream order; nothing after them uses the stream.
     h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
     n0 = noise_variance_from_msnr(h, msnr_db)
-    pilots = generate_pilots(cfg.ues, cfg.pilot_length())
+    pilots = generate_pilots(cfg.ues)
     y_train = simulate_training(h, pilots, n0, rng)
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
     s = modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T

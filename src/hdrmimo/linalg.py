@@ -1,5 +1,5 @@
-"""Complex dense linear algebra primitives: Householder reflections,
-Hermitian eigen/solve helpers, and Hadamard matrices."""
+"""Complex dense linear algebra primitives: Householder reflections and
+Hermitian eigen/solve helpers."""
 
 from __future__ import annotations
 
@@ -100,10 +100,3 @@ def posdef_inverse_apply(a: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     if np.any(pivots**2 <= 10.0 * np.finfo(float).eps * np.diagonal(a).real):
         raise np.linalg.LinAlgError("matrix is singular to working precision")
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
-
-
-def hadamard(k: int) -> np.ndarray:
-    """Sylvester Hadamard matrix of order k (k a power of two), entries +-1."""
-    if k < 1 or (k & (k - 1)) != 0:
-        raise ValueError(f"Hadamard order must be a power of two, got {k}")
-    return scipy.linalg.hadamard(k, dtype=float)

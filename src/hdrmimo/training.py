@@ -8,9 +8,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .channel import observe
-from .linalg import hadamard, posdef_inverse_apply
+from .frontend import split_clusters
 
 
 @dataclass(frozen=True)
@@ -27,14 +28,16 @@ class TrainingOutput:
 
 
 @functools.lru_cache(maxsize=None)
-def generate_pilots(u: int, k: int) -> np.ndarray:
-    """First u rows of an order-k Hadamard matrix; entries +-1, orthogonal rows.
+def generate_pilots(u: int) -> np.ndarray:
+    """Pilot block for u users: the first u rows of a Sylvester Hadamard
+    matrix of order K, the shortest power of two >= u.
 
-    Cached, so the block is built once per (u, k) and returned read-only.
+    Entries are +-1 and the rows are orthogonal, S S^T = K I. Cached, so
+    the block is built once per u and returned read-only.
     """
-    if k < u:
-        raise ValueError(f"pilot length k ({k}) must be >= user count u ({u})")
-    full = hadamard(k)
+    if u < 1:
+        raise ValueError(f"pilots need at least one user, got u = {u}")
+    full = scipy.linalg.hadamard(1 << (u - 1).bit_length(), dtype=float)
     full.flags.writeable = False
     return full[:u, :]
 
@@ -57,16 +60,21 @@ def simulate_training(
 
 
 def ls_channel_estimate(y_train: np.ndarray, pilots: np.ndarray) -> np.ndarray:
-    """Least-squares estimate Y_T S_T^H (S_T S_T^H)^{-1}.
+    """Least-squares estimate Y_T S_T^H / K for orthogonal pilots.
 
-    With orthogonal pilots this equals (1/K) Y_T S_T^H; the general solve is
-    used so any full-row-rank pilot matrix works. Rank-deficient pilots make
-    the Gram factorization fail.
+    The (U, K) pilot block must meet S_T S_T^H = K I exactly, as +-1
+    Hadamard rows do; then the general estimate Y_T S_T^H (S_T S_T^H)^{-1}
+    needs no solve. Any other pilot block raises ValueError.
     """
-    pilots = np.asarray(pilots, dtype=complex)
-    gram = pilots @ pilots.conj().T
-    proj = y_train @ pilots.conj().T
-    return posdef_inverse_apply(gram, proj.conj().T).conj().T
+    pilots = np.asarray(pilots)
+    if pilots.ndim != 2 or not np.array_equal(
+        pilots @ pilots.conj().T, pilots.shape[1] * np.eye(len(pilots))
+    ):
+        raise ValueError(
+            f"pilots of shape {pilots.shape} are not orthogonal rows of "
+            "squared norm K (S S^H != K I)"
+        )
+    return (y_train @ pilots.conj().T) / pilots.shape[1]
 
 
 def sample_covariance(y_train: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -90,13 +98,10 @@ def covariance_blocks(y_train: np.ndarray, clusters: int) -> np.ndarray:
     (C, S, S) stack equals the diagonal blocks of ``sample_covariance`` at
     B S K work instead of B^2 K.
     """
-    y_train = np.asarray(y_train, dtype=complex)
-    b, k = y_train.shape
-    if clusters < 1 or b % clusters != 0:
-        raise ValueError(f"dimension {b} not divisible by {clusters} clusters")
+    y_c = split_clusters(np.asarray(y_train, dtype=complex), clusters)
+    k = y_c.shape[2]
     if k < 1:
         raise ValueError("sample covariance needs at least one snapshot")
-    y_c = y_train.reshape(clusters, b // clusters, k)
     return (y_c @ y_c.conj().transpose(0, 2, 1)) / k
 
 

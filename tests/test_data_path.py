@@ -120,7 +120,7 @@ def reference_run_trial(cfg, method, msnr_db, realization_index):
         rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
         h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
     n0 = noise_variance_from_msnr(h, msnr_db)
-    pilots = generate_pilots(cfg.ues, cfg.pilot_length())
+    pilots = generate_pilots(cfg.ues)
     y_train = reference_training(h, pilots, n0, rng)
     est = estimate_from_training(y_train, pilots, cfg.clusters)
 
@@ -230,7 +230,8 @@ class TestNoise:
     def test_simulate_training(self, u, k):
         rng = np.random.default_rng(28)
         h = random_complex(rng, 64, u)
-        pilots = generate_pilots(u, k)
+        pilots = generate_pilots(u)
+        assert pilots.shape == (u, k)
         rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
         out = simulate_training(h, pilots, 0.07, rng)
         ref = reference_training(h, pilots, 0.07, ref_rng)

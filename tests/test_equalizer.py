@@ -81,10 +81,17 @@ class TestConstellation:
 
     @pytest.mark.parametrize(
         "bits",
-        [[0, 0, 0, -1], [0, 0, 0, 2], [0, 0, 0, 0.5], np.r_[np.zeros(29), 1, 1, np.nan]],
+        [
+            [0, 0, 0, -1],
+            [0, 0, 0, 2],
+            [0, 0, 0, 0.5],
+            np.r_[np.zeros(29), 1, 1, np.nan],
+            [0, 0, 0, np.inf],
+            [0, 0, 0, 1e30],
+        ],
     )
     def test_rejects_values_that_are_not_bits(self, bits):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="0 or 1"):
+        with pytest.raises(ValueError, match="0 or 1"):
             modulate(bits)
 
     def test_bits_of_any_numeric_type(self):

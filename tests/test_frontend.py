@@ -21,8 +21,10 @@ from hdrmimo.frontend import (
     midrise,
     optimal_step_size,
     quantizer_mse,
+    split_clusters,
 )
 from hdrmimo.linalg import dominant_eigenpair, householder_apply
+from hdrmimo.training import covariance_blocks
 from oracles import (
     complex_sign,
     dense_transform_matrix,
@@ -31,6 +33,31 @@ from oracles import (
     random_complex,
     reflected_first_coordinate,
 )
+
+
+class TestSplitClusters:
+    def test_view_of_consecutive_slices(self):
+        a = np.arange(12.0).reshape(6, 2)
+        v = split_clusters(a, 3)
+        assert v.shape == (3, 2, 2)
+        assert np.shares_memory(v, a)
+        assert np.array_equal(v[1], a[2:4])
+
+    # Every function that cuts B antennas into C clusters rejects C = 0 and
+    # a C that does not divide B with the same ValueError.
+    @pytest.mark.parametrize("clusters", [0, 4])
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda c: identity_transform(6, c),
+            lambda c: design_hr_iso(np.ones(6), c),
+            lambda c: covariance_blocks(np.ones((6, 2)), c),
+        ],
+        ids=["identity_transform", "design_hr_iso", "covariance_blocks"],
+    )
+    def test_bad_cluster_count_rejected(self, cut, clusters):
+        with pytest.raises(ValueError, match=f"dimension 6 not divisible by {clusters} clusters"):
+            cut(clusters)
 
 
 class TestHrIsoDesign:

@@ -227,7 +227,6 @@ class TestConfig:
         assert cfg.q_bits == 3
         assert cfg.rho_db == 30.0
         assert cfg.dr_limit_db == 6.0
-        assert cfg.pilot_length() == cfg.ues  # K = U for a power-of-two U
         assert cfg.methods == METHODS
 
     def test_empty_file_gives_defaults(self, tmp_path):
@@ -381,10 +380,6 @@ class TestConfig:
         grid = cfg.msnr_grid()
         assert len(grid) == 11
         assert grid[0] == -10.0 and grid[-1] == 15.0
-
-    def test_pilot_length_rounds_up(self):
-        cfg = ExperimentConfig(bs_antennas=64, ues=6, clusters=8)
-        assert cfg.pilot_length() == 8
 
 
 class TestRunTrial:

@@ -3,7 +3,6 @@ import pytest
 
 from hdrmimo.linalg import (
     dominant_eigenpair,
-    hadamard,
     householder_apply,
     posdef_inverse_apply,
 )
@@ -190,24 +189,3 @@ class TestPosdefInverseApply:
         v = np.array([1.0, 2.0 - 1.0j, 3.0j]) * scales
         with pytest.raises(np.linalg.LinAlgError):
             posdef_inverse_apply(np.outer(v, v.conj()), np.eye(3))
-
-
-class TestHadamard:
-    def test_order_two(self):
-        assert np.array_equal(hadamard(2), np.array([[1.0, 1.0], [1.0, -1.0]]))
-
-    def test_sylvester_doubling(self):
-        h2 = hadamard(2)
-        expected = np.block([[h2, h2], [h2, -h2]])
-        assert np.array_equal(hadamard(4), expected)
-
-    def test_orthogonality_exact(self):
-        for k in (1, 2, 4, 8, 16, 32, 64):
-            s = hadamard(k)
-            assert np.array_equal(s @ s.T, k * np.eye(k))
-            assert np.array_equal(np.abs(s), np.ones((k, k)))
-
-    def test_non_power_of_two_rejected(self):
-        for k in (0, 3, 6, 12, -4):
-            with pytest.raises(ValueError):
-                hadamard(k)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hdrmimo.channel import noise_variance_from_msnr, realize_channel
 from hdrmimo.harness import ExperimentConfig
@@ -21,37 +22,42 @@ def random_channel(rng, b, u):
 
 class TestGeneratePilots:
     def test_order_two(self):
-        assert np.array_equal(generate_pilots(2, 2), [[1.0, 1.0], [1.0, -1.0]])
+        assert np.array_equal(generate_pilots(2), [[1.0, 1.0], [1.0, -1.0]])
+
+    def test_sylvester_doubling(self):
+        s2 = generate_pilots(2)
+        assert np.array_equal(generate_pilots(4), np.block([[s2, s2], [s2, -s2]]))
 
     def test_subset_of_hadamard(self):
-        from hdrmimo.linalg import hadamard
-
-        assert np.array_equal(generate_pilots(2, 4), hadamard(4)[:2, :])
+        assert np.array_equal(generate_pilots(5), scipy.linalg.hadamard(8)[:5, :])
 
     def test_row_orthogonality_exact(self):
-        for u, k in ((2, 2), (3, 4), (8, 8), (5, 16)):
-            s = generate_pilots(u, k)
+        # K is the shortest power of two >= u: K = U for a power-of-two U
+        # (the default 32 users), K = 8 for 5..8 users.
+        for u in range(1, 65):
+            k = next(k for k in (1, 2, 4, 8, 16, 32, 64) if k >= u)
+            s = generate_pilots(u)
+            assert s.shape == (u, k)
             assert np.array_equal(s @ s.T, k * np.eye(u))
             assert np.array_equal(np.abs(s), np.ones((u, k)))
 
     def test_invalid_lengths(self):
-        with pytest.raises(ValueError):
-            generate_pilots(4, 2)
-        with pytest.raises(ValueError):
-            generate_pilots(3, 6)
+        for u in (0, -1):
+            with pytest.raises(ValueError, match="at least one user"):
+                generate_pilots(u)
 
 
 class TestSimulateTraining:
     def test_noiseless(self):
         rng = np.random.default_rng(0)
         h = random_channel(rng, 6, 4)
-        pilots = generate_pilots(4, 4)
+        pilots = generate_pilots(4)
         assert np.allclose(simulate_training(h, pilots, 0.0, rng), h @ pilots)
 
     def test_noise_variance(self):
         rng = np.random.default_rng(1)
         h = np.zeros((4, 2))
-        pilots = generate_pilots(2, 2)
+        pilots = generate_pilots(2)
         acc = [
             simulate_training(h, pilots, 0.25, rng) for _ in range(5000)
         ]
@@ -59,7 +65,7 @@ class TestSimulateTraining:
 
     def test_seed_deterministic(self):
         h = np.ones((4, 2), dtype=complex)
-        pilots = generate_pilots(2, 2)
+        pilots = generate_pilots(2)
         a = simulate_training(h, pilots, 1.0, np.random.default_rng(2))
         b = simulate_training(h, pilots, 1.0, np.random.default_rng(2))
         assert np.array_equal(a, b)
@@ -68,30 +74,32 @@ class TestSimulateTraining:
     def test_bad_noise_variance_rejected(self, n0):
         h = np.ones((4, 2), dtype=complex)
         with pytest.raises(ValueError, match="noise variance"):
-            simulate_training(h, generate_pilots(2, 2), n0, np.random.default_rng(0))
+            simulate_training(h, generate_pilots(2), n0, np.random.default_rng(0))
 
 
 class TestLsEstimate:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(3)
-        h = random_channel(rng, 8, 4)
-        pilots = generate_pilots(4, 8)
+        h = random_channel(rng, 8, 5)
+        pilots = generate_pilots(5)  # K = 8
         assert np.allclose(ls_channel_estimate(h @ pilots, pilots), h, atol=1e-12)
 
     def test_orthogonal_shortcut_identity(self):
+        # The closed form against the general estimate Y S^H (S S^H)^{-1}.
         rng = np.random.default_rng(4)
         y = random_channel(rng, 8, 16)
-        pilots = generate_pilots(4, 16)
-        general = ls_channel_estimate(y, pilots)
-        shortcut = y @ pilots.conj().T / 16.0
-        assert np.allclose(general, shortcut, atol=1e-12)
+        pilots = generate_pilots(9)  # K = 16
+        gram = pilots @ pilots.conj().T
+        general = np.linalg.solve(gram, (y @ pilots.conj().T).conj().T).conj().T
+        closed = ls_channel_estimate(y, pilots)
+        assert np.allclose(closed, general, rtol=0, atol=1e-12)
 
     def test_error_variance_matches_n0_over_k(self):
         # Analytic oracle: each estimate entry carries noise variance N0/K.
         rng = np.random.default_rng(5)
-        b, u, k, n0 = 4, 2, 8, 0.3
+        b, u, k, n0 = 4, 5, 8, 0.3
         h = random_channel(rng, b, u)
-        pilots = generate_pilots(u, k)
+        pilots = generate_pilots(u)
         sq_sum, count = 0.0, 0
         for _ in range(10_000):
             y = simulate_training(h, pilots, n0, rng)
@@ -102,9 +110,9 @@ class TestLsEstimate:
 
     def test_unbiased(self):
         rng = np.random.default_rng(6)
-        b, u, k, n0, trials = 4, 2, 4, 0.5, 4000
+        b, u, k, n0, trials = 4, 5, 8, 0.5, 4000
         h = random_channel(rng, b, u)
-        pilots = generate_pilots(u, k)
+        pilots = generate_pilots(u)
         acc = np.zeros((b, u), dtype=complex)
         for _ in range(trials):
             y = simulate_training(h, pilots, n0, rng)
@@ -113,9 +121,14 @@ class TestLsEstimate:
         assert np.all(np.abs(acc / trials) < bound)
 
     def test_rank_deficient_pilots_rejected(self):
-        bad = np.ones((2, 4))  # identical rows
-        with pytest.raises(np.linalg.LinAlgError):
-            ls_channel_estimate(np.ones((3, 4), dtype=complex), bad)
+        y = np.ones((3, 4), dtype=complex)
+        for bad in (
+            np.ones((2, 4)),  # identical rows
+            2.0 * generate_pilots(4)[:2],  # orthogonal, but S S^H = 4K I
+            np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]]),  # full rank
+        ):
+            with pytest.raises(ValueError, match="pilots"):
+                ls_channel_estimate(y, bad)
 
 
 class TestSampleCovariance:
@@ -186,7 +199,7 @@ class TestStrongestUeIndex:
         # With the strong user 30 dB above the rest and K = U pilots, the
         # noisy estimate still identifies it essentially always.
         cfg = ExperimentConfig(bs_antennas=16, ues=4, clusters=4, rho_db=30.0)
-        pilots = generate_pilots(4, 4)
+        pilots = generate_pilots(4)
         hits = 0
         trials = 1000
         rng = np.random.default_rng(9)
@@ -203,7 +216,7 @@ class TestEstimateFromTraining:
     def test_bundle_consistency(self):
         rng = np.random.default_rng(10)
         h = random_channel(rng, 8, 4)
-        pilots = generate_pilots(4, 8)
+        pilots = generate_pilots(4)
         y = simulate_training(h, pilots, 0.1, rng)
         est = estimate_from_training(y, pilots, 2)
         assert np.array_equal(est.h_hat, ls_channel_estimate(y, pilots))
