@@ -30,6 +30,7 @@ from hdrmimo.harness import (
     trial_rng,
     write_csv,
 )
+from hdrmimo.training import generate_pilots
 
 
 def smoke_cfg(**kwargs):
@@ -380,6 +381,11 @@ class TestConfig:
         grid = cfg.msnr_grid()
         assert len(grid) == 11
         assert grid[0] == -10.0 and grid[-1] == 15.0
+
+    def test_pilot_length_rounds_up(self):
+        # A trial's pilot length K is the shortest power of two >= U.
+        cfg = ExperimentConfig(bs_antennas=64, ues=6, clusters=8)
+        assert generate_pilots(cfg.ues).shape == (6, 8)
 
 
 class TestRunTrial:

@@ -6,6 +6,7 @@ from hdrmimo.linalg import (
     householder_apply,
     posdef_inverse_apply,
 )
+from hdrmimo.training import generate_pilots
 from oracles import complex_sign, householder_matrix, random_complex
 
 
@@ -189,3 +190,18 @@ class TestPosdefInverseApply:
         v = np.array([1.0, 2.0 - 1.0j, 3.0j]) * scales
         with pytest.raises(np.linalg.LinAlgError):
             posdef_inverse_apply(np.outer(v, v.conj()), np.eye(3))
+
+
+class TestHadamard:
+    # The Sylvester Hadamard matrices behind the pilots: at a power-of-two
+    # user count u the pilot block is the whole matrix of order u.
+    def test_order_two(self):
+        assert np.array_equal(
+            generate_pilots(2), np.array([[1.0, 1.0], [1.0, -1.0]])
+        )
+
+    def test_orthogonality_exact(self):
+        for k in (1, 2, 4, 8, 16, 32, 64):
+            s = generate_pilots(k)
+            assert np.array_equal(s @ s.T, k * np.eye(k))
+            assert np.array_equal(np.abs(s), np.ones((k, k)))
