@@ -90,6 +90,13 @@ def count_bit_errors(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int
     return int(np.count_nonzero(tx != rx)), int(tx.size)
 
 
+def _push_through_solve(a: np.ndarray, load: float, rhs: np.ndarray) -> np.ndarray:
+    # (A^H A + load I_U)^{-1} rhs, factoring only the U x U Hermitian system.
+    g = a.conj().T @ a
+    np.fill_diagonal(g, np.diagonal(g).real + load)
+    return posdef_inverse_apply(g, rhs)
+
+
 def build_lmmse(
     h_hat: np.ndarray,
     transform: SpatialTransform,
@@ -114,8 +121,6 @@ def build_lmmse(
     Requires D > 0 entrywise: a noiseless, distortion-free chain (N0 = 0
     and D_q = 0) raises ``np.linalg.LinAlgError``.
     """
-    if quant.gamma <= 0:
-        raise ValueError("Bussgang gain must be positive")
     d = n0 * gains.omega**2 + 2.0 * quant.dist_power / quant.gamma**2
     if not np.all(d > 0):
         raise np.linalg.LinAlgError(
@@ -126,10 +131,7 @@ def build_lmmse(
     m = apply_transform(transform, np.array(h_hat, dtype=complex, order="C"))
     m *= gains.omega[:, None]
     a = d_isqrt[:, None] * m
-    g = a.conj().T @ a
-    np.fill_diagonal(g, np.diagonal(g).real + 1.0)
-    x = posdef_inverse_apply(g, a.conj().T * d_isqrt[None, :])
-    return x / quant.gamma
+    return _push_through_solve(a, 1.0, a.conj().T * d_isqrt[None, :]) / quant.gamma
 
 
 def build_unquantized_lmmse(h_hat: np.ndarray, n0: float) -> np.ndarray:
@@ -140,9 +142,7 @@ def build_unquantized_lmmse(h_hat: np.ndarray, n0: float) -> np.ndarray:
     zero-forcing detector and needs Hh to have full column rank.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
-    gram = h_hat.conj().T @ h_hat
-    np.fill_diagonal(gram, np.diagonal(gram).real + n0)
-    return posdef_inverse_apply(gram, h_hat.conj().T)
+    return _push_through_solve(h_hat, n0, h_hat.conj().T)
 
 
 def equalize(w: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ import numpy as np
 from .linalg import HERMITIAN_RTOL
 
 _SLICE_FLOATS = 1 << 16  # floats per column slice of apply_transform's update
+# Relative residual bound on each eigenpair design_hr_max uses.
+EIG_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -21,8 +23,8 @@ class SpatialTransform:
     normal v_c of cluster c; cluster c applies I - w_c v_c v_c^H with the
     weight w_c = 2/||v_c||^2, or w_c = 0 for an all-zero row, which makes
     that cluster a passthrough (identity). Every block is unitary, so the
-    transform preserves vector norms. The array is copied and made
-    read-only on construction.
+    transform preserves vector norms. The normals are copied, and both they
+    and the weights are read-only, so one transform can be shared.
     """
 
     vectors: np.ndarray
@@ -47,6 +49,7 @@ class SpatialTransform:
             )
         vectors.flags.writeable = False
         weights = np.divide(2.0, nrm2, out=np.zeros_like(nrm2), where=active)
+        weights.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_weights", weights)
 
@@ -110,7 +113,7 @@ def split_clusters(a: np.ndarray, clusters: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def identity_transform(dim: int, clusters: int) -> SpatialTransform:
-    # Cached: a transform is immutable (frozen, read-only array).
+    # Cached: a transform is immutable (frozen, read-only arrays).
     return SpatialTransform(split_clusters(np.zeros(dim, complex), clusters))
 
 
@@ -135,16 +138,17 @@ def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
     return SpatialTransform(v)
 
 
-def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
+def design_hr_max(c_blocks: np.ndarray) -> SpatialTransform:
     """Per-cluster reflectors that focus the dominant receive direction.
 
     ``c_blocks`` is the (C, S, S) stack of diagonal receive-covariance
     blocks, one per cluster. One batched Hermitian eigendecomposition gives
-    each block's dominant eigenvector l_1, and the cluster reflects with
-    v = l_1 + sign([l_1]_1) e_1. Each eigenpair must meet the residual
-    bound ``||C l - lambda l|| <= tol * max(lambda, trace(C)/S)``, else
-    RuntimeError. A zero block, or one whose top eigenvalue is not
-    positive, falls back to identity.
+    each block's dominant eigenvector l_1, and hr-iso's reflector rule is
+    applied to the stacked l_1: v = l_1 + ||l_1|| sign([l_1]_1) e_1. Each
+    eigenpair must meet the residual bound
+    ``||C l - lambda l|| <= EIG_RESIDUAL_TOL * max(lambda, trace(C)/S)``,
+    else RuntimeError. A zero block, or one whose top eigenvalue is not
+    positive, gets a zero l_1 and so falls back to identity.
     """
     c = np.asarray(c_blocks, dtype=complex)
     if c.ndim != 3 or c.shape[1] != c.shape[2]:
@@ -168,7 +172,8 @@ def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
     residual = np.linalg.norm(
         (c @ lead[:, :, None])[:, :, 0] - top[:, None] * lead, axis=1
     )
-    bound = tol * np.maximum(top, np.trace(c, axis1=1, axis2=2).real / c.shape[1])
+    mean_power = np.trace(c, axis1=1, axis2=2).real / c.shape[1]
+    bound = EIG_RESIDUAL_TOL * np.maximum(top, mean_power)
     bad = np.flatnonzero(residual > bound)
     if bad.size:
         k = bad[0]
@@ -176,10 +181,8 @@ def design_hr_max(c_blocks: np.ndarray, tol: float = 1e-10) -> SpatialTransform:
             f"dominant eigenpair residual {residual[k]:.3e} of block {k} "
             f"exceeds bound {bound[k]:.3e}; value={top[k]!r}"
         )
-    v = lead.copy()
-    v[:, 0] += _unit_phase(lead[:, 0])
-    v[(top <= 0.0) | ~np.any(c, axis=(1, 2))] = 0.0
-    return SpatialTransform(v)
+    lead[(top <= 0.0) | ~np.any(c, axis=(1, 2))] = 0.0
+    return design_hr_iso(lead.reshape(-1), c.shape[0])
 
 
 def _check_block(y: np.ndarray) -> None:

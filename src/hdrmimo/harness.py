@@ -222,14 +222,18 @@ _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One (method, scenario, MSNR point) row of aggregated BER results."""
+    """One (method, scenario, MSNR point) row of aggregated BER results.
+
+    The fields, in order, are the results CSV's columns and name them (C
+    clusters, B antennas, U users); the header is a public contract.
+    """
 
     method: str
     rho_db: float
     q: int
-    clusters: int
-    bs_antennas: int
-    ues: int
+    C: int
+    B: int
+    U: int
     msnr_db: float
     bit_errors: int
     total_bits: int
@@ -238,24 +242,9 @@ class ResultRecord:
     seed: int
 
 
-# The results CSV, one (header name, ResultRecord field) pair per column in
-# column order; the header is a public contract.
-_CSV_COLUMNS = (
-    ("method", "method"),
-    ("rho_db", "rho_db"),
-    ("q", "q"),
-    ("C", "clusters"),
-    ("B", "bs_antennas"),
-    ("U", "ues"),
-    ("msnr_db", "msnr_db"),
-    ("bit_errors", "bit_errors"),
-    ("total_bits", "total_bits"),
-    ("ber", "ber"),
-    ("realizations", "realizations"),
-    ("seed", "seed"),
-)
-CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+# ResultRecord's field names and types, in field (column) order.
 _RECORD_TYPES = get_type_hints(ResultRecord)
+CSV_HEADER = ",".join(_RECORD_TYPES)
 
 
 def trial_rng(
@@ -370,9 +359,9 @@ def run_sweep(cfg: ExperimentConfig) -> list:
                 method=method,
                 rho_db=cfg.rho_db,
                 q=cfg.q_bits,
-                clusters=cfg.clusters,
-                bs_antennas=cfg.bs_antennas,
-                ues=cfg.ues,
+                C=cfg.clusters,
+                B=cfg.bs_antennas,
+                U=cfg.ues,
                 msnr_db=msnr_db,
                 bit_errors=errors,
                 total_bits=bits,
@@ -394,7 +383,7 @@ def write_csv(records: Sequence[ResultRecord], path: str) -> None:
         raise ValueError("no records to write")
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join(str(getattr(r, key)) for _, key in _CSV_COLUMNS))
+        lines.append(",".join(str(getattr(r, key)) for key in _RECORD_TYPES))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -408,19 +397,13 @@ def read_csv(path: str) -> list:
     records = []
     for lineno, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
-        if len(cells) != len(_CSV_COLUMNS):
+        if len(cells) != len(_RECORD_TYPES):
             raise ValueError(
-                f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, "
+                f"{path}:{lineno}: expected {len(_RECORD_TYPES)} columns, "
                 f"got {len(cells)}"
             )
-        records.append(
-            ResultRecord(
-                **{
-                    key: _RECORD_TYPES[key](cell)
-                    for (_, key), cell in zip(_CSV_COLUMNS, cells)
-                }
-            )
-        )
+        row = (kind(cell) for kind, cell in zip(_RECORD_TYPES.values(), cells))
+        records.append(ResultRecord(*row))
     return records
 
 
@@ -434,7 +417,7 @@ def emit_plot_script(
     for r in records:
         if r.method not in methods:
             methods.append(r.method)
-    col = {key: i for i, (_, key) in enumerate(_CSV_COLUMNS, start=1)}
+    col = {key: i for i, key in enumerate(_RECORD_TYPES, start=1)}
     clauses = [
         f"  csv using (strcol({col['method']}) eq '{m}' ? ${col['msnr_db']} : NaN)"
         f":{col['ber']} with linespoints title '{m}'"

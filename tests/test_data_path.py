@@ -41,6 +41,7 @@ from hdrmimo.frontend import (
     midrise,
 )
 from hdrmimo.harness import METHODS, ExperimentConfig, run_trial, trial_rng
+from hdrmimo.linalg import posdef_inverse_apply
 from hdrmimo.training import estimate_from_training, generate_pilots, simulate_training
 from oracles import random_complex
 
@@ -109,6 +110,24 @@ def reference_adc(y_tilde, gains, quant):
     return reference_midrise(scaled.view(float), quant.delta, quant.q).view(complex)
 
 
+def reference_build_lmmse(h_hat, transform, gains, quant, n0):
+    # The push-through form with its U x U system G = I_U + A^H A written out.
+    d = n0 * gains.omega**2 + 2.0 * quant.dist_power / quant.gamma**2
+    d_isqrt = 1.0 / np.sqrt(d)
+    m = reference_apply_transform(transform, h_hat) * gains.omega[:, None]
+    a = d_isqrt[:, None] * m
+    g = a.conj().T @ a
+    np.fill_diagonal(g, np.diagonal(g).real + 1.0)
+    x = posdef_inverse_apply(g, a.conj().T * d_isqrt[None, :])
+    return x / quant.gamma
+
+
+def reference_build_unquantized_lmmse(h_hat, n0):
+    gram = h_hat.conj().T @ h_hat
+    np.fill_diagonal(gram, np.diagonal(gram).real + n0)
+    return posdef_inverse_apply(gram, h_hat.conj().T)
+
+
 def reference_run_trial(cfg, method, msnr_db, realization_index):
     """The trial body with every data-path stage replaced by its reference.
 
@@ -125,7 +144,7 @@ def reference_run_trial(cfg, method, msnr_db, realization_index):
     est = estimate_from_training(y_train, pilots, cfg.clusters)
 
     if method == "perfect":
-        w = build_unquantized_lmmse(est.h_hat, n0)
+        w = reference_build_unquantized_lmmse(est.h_hat, n0)
     else:
         if method == "hr-iso":
             transform = design_hr_iso(est.h_hat[:, est.strong_index], cfg.clusters)
@@ -135,7 +154,7 @@ def reference_run_trial(cfg, method, msnr_db, realization_index):
             transform = identity_transform(cfg.bs_antennas, cfg.clusters)
         quant = design_quantizer(cfg.q_bits)
         gains = compute_agc(est.c_y_blocks, transform)
-        w = build_lmmse(est.h_hat, transform, gains, quant, n0)
+        w = reference_build_lmmse(est.h_hat, transform, gains, quant, n0)
 
     tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
     s_block = reference_modulate(tx_bits.reshape(-1)).reshape(cfg.symbols, cfg.ues).T
@@ -159,7 +178,9 @@ def assert_same_floats(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
     if np.iscomplexobj(a):
-        a, b = a.view(float), b.view(float)
+        # The float view needs C order; a LAPACK solve returns Fortran order.
+        a = np.ascontiguousarray(a).view(float)
+        b = np.ascontiguousarray(b).view(float)
     assert np.array_equal(a, b, equal_nan=True)
     number = ~np.isnan(a)
     assert np.array_equal(np.signbit(a[number]), np.signbit(b[number]))
@@ -360,6 +381,30 @@ class TestInPlace:
         with pytest.raises(ValueError, match="C-contiguous complex128"):
             adc(x, gains, quant)
         assert np.array_equal(x, snapshot)
+
+
+class TestDetectors:
+    """Both detectors, bit for bit the push-through formulas they evaluate."""
+
+    @pytest.mark.parametrize("u", [1, 2, 5, 8])
+    @pytest.mark.parametrize("q", [1, 3, 12])
+    def test_build_lmmse(self, u, q):
+        rng = np.random.default_rng(36)
+        quant = design_quantizer(q)
+        for t in TestInPlace.transforms(rng):
+            h_hat = random_complex(rng, 64, u)
+            gains = AgcGains(rng.uniform(0.1, 10.0, 64))
+            for n0 in (1e-3, 0.5, 20.0):
+                want = reference_build_lmmse(h_hat, t, gains, quant, n0)
+                assert_same_floats(build_lmmse(h_hat, t, gains, quant, n0), want)
+
+    @pytest.mark.parametrize("u", [1, 2, 5, 8])
+    def test_build_unquantized_lmmse(self, u):
+        rng = np.random.default_rng(37)
+        h_hat = random_complex(rng, 64, u)
+        for n0 in (0.0, 1e-3, 0.5, 20.0):
+            want = reference_build_unquantized_lmmse(h_hat, n0)
+            assert_same_floats(build_unquantized_lmmse(h_hat, n0), want)
 
 
 class TestHardSlice:

@@ -276,18 +276,6 @@ class TestBuildLmmse:
                 0.0,
             )
 
-    def test_zero_gamma_rejected(self):
-        quant = QuantizerModel(q=1, delta=1.0, gamma=0.5, dist_power=0.0)
-        object.__setattr__(quant, "gamma", 0.0)  # bypass validation to hit the guard
-        with pytest.raises(ValueError):
-            build_lmmse(
-                np.ones((2, 2), dtype=complex),
-                identity_transform(2, 1),
-                AgcGains(np.ones(2)),
-                quant,
-                0.1,
-            )
-
 
 class TestEqualize:
     def test_identity_detector(self):

@@ -6,6 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hdrmimo import frontend
 from hdrmimo.frontend import (
     AgcGains,
     QuantizerModel,
@@ -171,13 +172,14 @@ class TestHrMaxDesign:
         with pytest.raises(ValueError, match="block 1 is not Hermitian"):
             design_hr_max(blocks)
 
-    def test_residual_bound_enforced(self):
+    def test_residual_bound_enforced(self, monkeypatch):
         # No eigensolver meets a zero residual bound on a generic block.
         rng = np.random.default_rng(14)
         a = random_complex(rng, 2, 4, 4)
         blocks = a @ a.conj().transpose(0, 2, 1)
+        monkeypatch.setattr(frontend, "EIG_RESIDUAL_TOL", 0.0)
         with pytest.raises(RuntimeError, match="residual .* of block 0"):
-            design_hr_max(blocks, tol=0.0)
+            design_hr_max(blocks)
 
     def test_rejects_wrong_block_shape(self):
         with pytest.raises(ValueError, match=r"\(C, S, S\).*\(4, 4\)"):
@@ -412,6 +414,23 @@ class TestReflectorProperties:
             isolated = np.real(e.conj() @ block @ e)
             top = np.linalg.eigvalsh(block)[-1]
             assert abs(isolated - top) <= 1e-10 * max(top, 1e-300)
+
+
+class TestTransformReadOnly:
+    def test_both_arrays_read_only(self):
+        # identity_transform's cached transform is shared by every wsu and
+        # none trial on every thread, so no array of a transform may change.
+        rng = np.random.default_rng(31)
+        a = random_complex(rng, 2, 2, 2)
+        for t in (
+            identity_transform(4, 2),
+            design_hr_iso(random_complex(rng, 4), 2),
+            design_hr_max(a @ a.conj().transpose(0, 2, 1)),
+        ):
+            for arr in (t.vectors, t._weights):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
 
 
 class TestDataPathMemory:

@@ -655,8 +655,8 @@ class TestCsvAndPlot:
     def test_row_layout(self, tmp_path):
         # Each value sits under its header name; floats are written as repr.
         record = ResultRecord(
-            method="hr-iso", rho_db=30.0, q=3, clusters=8, bs_antennas=64,
-            ues=4, msnr_db=-2.5, bit_errors=7, total_bits=800, ber=7 / 800,
+            method="hr-iso", rho_db=30.0, q=3, C=8, B=64,
+            U=4, msnr_db=-2.5, bit_errors=7, total_bits=800, ber=7 / 800,
             realizations=2, seed=123,
         )
         path = tmp_path / "one.csv"
