@@ -1,12 +1,11 @@
 """Complex dense linear algebra primitives: Householder reflections and
-Hermitian eigen/solve helpers."""
+Hermitian eigen/solve helpers, on numpy alone."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_RTOL = 1e-12
 
@@ -39,10 +38,15 @@ def householder_apply(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x - (2.0 / nrm2) * np.outer(v, coef)
 
 
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
+def _check_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _check_hermitian(a: np.ndarray) -> np.ndarray:
+    a = _check_square(a)
     scale = np.linalg.norm(a)
     if np.linalg.norm(a - a.conj().T) > HERMITIAN_RTOL * max(scale, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -76,27 +80,41 @@ def dominant_eigenpair(c: np.ndarray, tol: float = 1e-10) -> EigenPair:
 
 
 def posdef_inverse_apply(a: np.ndarray, bmat: np.ndarray) -> np.ndarray:
-    """Solve A X = B for Hermitian positive definite A via Cholesky.
+    """Solve A X = B for Hermitian positive definite A.
 
-    Raises a LinAlgError if the factorization fails (A indefinite) or if a
-    pivot is negligible against its own diagonal entry, l_ii^2 <= 10 eps
-    a_ii (A singular to working precision). That test is unchanged by a
-    diagonal scaling D A D (van der Sluis 1969; Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10), so a well-conditioned matrix
-    whose rows differ in scale by many decades is solved. Never forms the
-    explicit inverse.
+    ``np.linalg.cholesky`` (LAPACK potrf, reading the lower triangle) is the
+    definiteness test: a LinAlgError if the factorization fails (A
+    indefinite) or if a pivot is negligible against its own diagonal entry,
+    l_ii^2 <= 10 eps a_ii (A singular to working precision). That test is
+    unchanged by a diagonal scaling D A D (van der Sluis 1969; Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10), so a
+    well-conditioned matrix whose rows differ in scale by many decades is
+    solved. ``np.linalg.solve`` (LAPACK gesv) then solves against B, as one
+    call: numpy has no triangular solve, and two general solves on the
+    factor would double the right-hand-side work. Never forms the explicit
+    inverse.
+
+    A must be a finite, square, 2-D array and B a vector or matrix whose
+    leading dimension is A's order; anything else raises ValueError.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _check_square(a)
     b = np.asarray(bmat, dtype=complex)
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"right-hand side of shape {b.shape} does not fit a matrix of "
+            f"shape {a.shape}"
+        )
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"Cholesky factorization failed (matrix not positive definite): {exc}"
         ) from exc
     # Rounding can let the factorization of an exactly singular matrix slip
     # through with a tiny pivot; treat that as a failure too.
-    pivots = np.abs(np.diagonal(factor[0]))
+    pivots = np.abs(np.diagonal(factor))
     if np.any(pivots**2 <= 10.0 * np.finfo(float).eps * np.diagonal(a).real):
         raise np.linalg.LinAlgError("matrix is singular to working precision")
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(a, b)

@@ -8,7 +8,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import observe
 from .frontend import split_clusters
@@ -30,14 +29,17 @@ class TrainingOutput:
 @functools.lru_cache(maxsize=None)
 def generate_pilots(u: int) -> np.ndarray:
     """Pilot block for u users: the first u rows of a Sylvester Hadamard
-    matrix of order K, the shortest power of two >= u.
+    matrix of order K, the shortest power of two >= u, built by doubling
+    H <- [[H, H], [H, -H]] from H = [1].
 
     Entries are +-1 and the rows are orthogonal, S S^T = K I. Cached, so
     the block is built once per u and returned read-only.
     """
     if u < 1:
         raise ValueError(f"pilots need at least one user, got u = {u}")
-    full = scipy.linalg.hadamard(1 << (u - 1).bit_length(), dtype=float)
+    full = np.ones((1, 1))
+    for _ in range((u - 1).bit_length()):
+        full = np.block([[full, full], [full, -full]])
     full.flags.writeable = False
     return full[:u, :]
 

@@ -873,8 +873,9 @@ class TestCli:
 
 class TestStartupImports:
     def test_sweep_loads_no_design_modules(self, tmp_path):
-        # The quantizer designs are tabulated, so a CLI sweep never loads
-        # scipy.optimize or scipy.special; optimal_step_size loads them on
+        # A CLI sweep runs on numpy alone and loads no scipy module: the
+        # quantizer designs are tabulated, and the solves and pilots use
+        # numpy. optimal_step_size loads scipy.optimize and scipy.special on
         # demand. A fresh interpreter, as the suite has loaded them already.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = f"""
@@ -887,7 +888,7 @@ hdrmimo.cli.main([
     "--msnr-start", "10", "--msnr-stop", "10", "--realizations", "1",
     "--symbols", "10", "--out", {str(tmp_path / "sweep.csv")!r},
 ])
-loaded = [m for m in heavy if m in sys.modules]
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
 from hdrmimo.frontend import optimal_step_size
 assert abs(optimal_step_size(3) - hdrmimo.design_quantizer(3).delta) <= 1e-8

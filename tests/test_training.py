@@ -29,7 +29,9 @@ class TestGeneratePilots:
         assert np.array_equal(generate_pilots(4), np.block([[s2, s2], [s2, -s2]]))
 
     def test_subset_of_hadamard(self):
-        assert np.array_equal(generate_pilots(5), scipy.linalg.hadamard(8)[:5, :])
+        for u in range(1, 65):
+            k = 1 << (u - 1).bit_length()
+            assert np.array_equal(generate_pilots(u), scipy.linalg.hadamard(k)[:u, :])
 
     def test_row_orthogonality_exact(self):
         # K is the shortest power of two >= u: K = U for a power-of-two U
