@@ -22,7 +22,10 @@ def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
     return np.exp(1j * np.pi * antenna * sin)
 
 
-_NOISE_CHUNK = 1 << 16  # floats in the buffer the noise is drawn through
+# Entries per slice wherever a block is worked on piecewise: the floats of
+# the noise buffer and of apply_transform's column slices, and the bits
+# run_trial draws, modulates and slices at a time.
+SLICE_SIZE = 1 << 16
 
 
 def _add_complex_noise(
@@ -31,7 +34,7 @@ def _add_complex_noise(
     # Adds scale * (a + 1j*b), scale = sqrt(variance/2), to the C-contiguous
     # complex array ``out`` in place. All real parts a are drawn before all
     # imaginary parts b, as two rng.standard_normal(out.shape) calls would
-    # draw them, through one reused buffer of at most _NOISE_CHUNK floats.
+    # draw them, through one reused buffer of at most SLICE_SIZE floats.
     # The negated test also rejects a NaN variance.
     if not variance >= 0:
         raise ValueError(f"noise variance must be nonnegative, got {variance}")
@@ -39,9 +42,9 @@ def _add_complex_noise(
         raise ValueError("noise target must be C-contiguous")
     scale = np.sqrt(variance / 2.0)
     flat = out.reshape(-1)
-    draws = np.empty(min(flat.size, _NOISE_CHUNK))
+    draws = np.empty(min(flat.size, SLICE_SIZE))
     for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, _NOISE_CHUNK):
+        for start in range(0, flat.size, SLICE_SIZE):
             chunk = draws[: flat.size - start]
             rng.standard_normal(out=chunk)
             chunk *= scale
@@ -51,7 +54,7 @@ def _add_complex_noise(
 def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """I.i.d. circularly-symmetric complex Gaussian, given variance per entry.
 
-    Allocates the result and one buffer of at most ``_NOISE_CHUNK`` floats,
+    Allocates the result and one buffer of at most ``SLICE_SIZE`` floats,
     in which the real and then the imaginary parts are drawn slice by slice
     and scaled by sqrt(variance/2). For a positive variance the result is bit
     for bit ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
@@ -185,7 +188,7 @@ def observe(
 
     ``s`` may be a length-U symbol vector or a (U, n) block of symbol
     vectors; the noise is drawn per entry of the output. Allocates the
-    product h @ s and one buffer of at most ``_NOISE_CHUNK`` floats, in which
+    product h @ s and one buffer of at most ``SLICE_SIZE`` floats, in which
     the real and then the imaginary noise parts are drawn slice by slice,
     scaled and added to the product in place: for a positive ``n0``, bit for
     bit ``h @ s + complex_noise(rng, shape, n0)``, drawn in the same order.

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import SLICE_SIZE
 from .linalg import HERMITIAN_RTOL
 
-_SLICE_FLOATS = 1 << 16  # floats per column slice of apply_transform's update
 # Relative residual bound on each eigenpair design_hr_max uses.
 EIG_RESIDUAL_TOL = 1e-10
 
@@ -201,7 +201,7 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     by the batched rank-1 update x - w v (v^H x) on the (C, S, n) view of
     ``y``; the dense matrix is never formed. The C n coefficients w v^H x
     come first (1/S of a block), then the updates, in column slices of at
-    most ``_SLICE_FLOATS`` floats. The identity leaves ``y`` untouched; a
+    most ``SLICE_SIZE`` floats. The identity leaves ``y`` untouched; a
     passthrough row has w = 0, so for finite input its rows keep their values.
     """
     _check_block(y)
@@ -216,7 +216,7 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     x = y.reshape(transform.clusters, transform.block_size, -1)
     coef = v.conj()[:, None, :] @ x
     coef *= w[:, None, None]
-    step = max(1, _SLICE_FLOATS // (2 * transform.dim))
+    step = max(1, SLICE_SIZE // (2 * transform.dim))
     for start in range(0, x.shape[2], step):
         cols = slice(start, start + step)
         x[:, :, cols] -= v[:, :, None] * coef[:, :, cols]

@@ -14,7 +14,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .channel import noise_variance_from_msnr, observe, realize_channel
+from .channel import SLICE_SIZE, noise_variance_from_msnr, observe, realize_channel
 from .equalizer import (
     build_lmmse,
     build_unquantized_lmmse,
@@ -289,11 +289,19 @@ def run_trial(
     n0 = noise_variance_from_msnr(h, msnr_db)
     pilots = generate_pilots(cfg.ues)
     y_train = simulate_training(h, pilots, n0, rng)
-    tx_bits = rng.integers(0, 2, size=(cfg.symbols, 4 * cfg.ues))
-    s = modulate(tx_bits).reshape(cfg.symbols, cfg.ues).T
-    # One byte per bit, as hard_slice returns; the int64 draw dies before y.
-    tx_bits = tx_bits.astype(np.uint8)
-    y = observe(h, s, n0, rng)
+    # The bits are drawn, modulated and later sliced SLICE_SIZE bits (whole
+    # symbol vectors) at a time, which draws the same stream as one call;
+    # only one byte per bit and the (n, U) symbols are kept.
+    step = max(1, SLICE_SIZE // (4 * cfg.ues))
+    slices = [slice(i, i + step) for i in range(0, cfg.symbols, step)]
+    tx_bits = np.empty((cfg.symbols, 4 * cfg.ues), dtype=np.uint8)
+    s = np.empty((cfg.symbols, cfg.ues), dtype=complex)
+    for rows in slices:
+        draw = rng.integers(0, 2, size=tx_bits[rows].shape)
+        s[rows] = modulate(draw).reshape(-1, cfg.ues)
+        tx_bits[rows] = draw
+    del draw
+    y = observe(h, s.T, n0, rng)
     del s
 
     est = estimate_from_training(y_train, pilots, cfg.clusters)
@@ -325,8 +333,10 @@ def run_trial(
     s_hat = equalize(w, y)
     del y
     # s_hat is (U, n); its transpose lists the symbols in tx_bits order.
-    rx_bits = hard_slice(s_hat.T)
-    return count_bit_errors(tx_bits, rx_bits)
+    errors = 0
+    for rows in slices:
+        errors += count_bit_errors(tx_bits[rows], hard_slice(s_hat[:, rows].T))[0]
+    return errors, tx_bits.size
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:

@@ -236,7 +236,7 @@ class TestObserve:
 
     def test_wide_block_allocates_output_and_one_noise_slice(self):
         # The product h @ s plus the reused float buffer of the noise draws,
-        # _NOISE_CHUNK floats (0.026 of this output); the rest of 10% of an
+        # channel.SLICE_SIZE floats (0.026 of this output); the rest of 10% of an
         # output is slack (measured: 1.026).
         rng = np.random.default_rng(10)
         h = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))

@@ -132,7 +132,8 @@ def reference_run_trial(cfg, method, msnr_db, realization_index):
     """The trial body with every data-path stage replaced by its reference.
 
     The channel draw goes through ``reference_complex_noise`` too, patched
-    in where ``channel`` looks the function up.
+    in where ``channel`` looks the function up. The bits are drawn in one
+    call and sliced as one block.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(channel, "complex_noise", reference_complex_noise)
@@ -206,7 +207,7 @@ class TestNoise:
     def test_draws_across_noise_slices(self, size, ndim):
         # Sizes at and across the edges of the slices the noise is drawn in;
         # in 2-D, rows of the largest of 64, 5 and 1 columns that fits.
-        chunk = channel._NOISE_CHUNK
+        chunk = channel.SLICE_SIZE
         n = {
             "chunk-1": chunk - 1,
             "chunk": chunk,
@@ -463,8 +464,12 @@ def trial_cfg(**kwargs):
     [
         trial_cfg(bs_antennas=64, ues=8, clusters=8),
         trial_cfg(bs_antennas=256, ues=32, clusters=32, msnr_start=12.0),
+        # 16 bits per symbol vector, so 2 whole bit slices and a 3-row tail.
+        trial_cfg(
+            bs_antennas=16, ues=4, clusters=4, symbols=2 * channel.SLICE_SIZE // 16 + 3
+        ),
     ],
-    ids=["desk", "paper"],
+    ids=["desk", "paper", "sliced"],
 )
 def test_run_trial_matches_reference_trial(cfg):
     for method in METHODS:
