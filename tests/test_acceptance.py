@@ -403,3 +403,26 @@ def test_criterion_8_determinism_and_energy_guard(tmp_path, monkeypatch):
         identical,
         f"{len(payloads[0])}-byte CSVs identical across 1/4/16 threads",
     )
+
+
+@pytest.mark.parametrize("exponent", [0, -20, -40, -60])
+def test_energy_guard_holds_at_any_channel_scale(monkeypatch, exponent):
+    # The guard's bound is relative to ||y||. A channel scaled by 2^exponent
+    # scales the noise with it (MSNR is relative), so the whole received
+    # block is that small, and a transform that multiplies it by 1.5 must
+    # still abort the trial.
+    real_realize = harness_module.realize_channel
+    real_apply = harness_module.apply_transform
+    monkeypatch.setattr(
+        harness_module,
+        "realize_channel",
+        lambda *args, **kw: 2.0**exponent * real_realize(*args, **kw),
+    )
+    monkeypatch.setattr(
+        harness_module,
+        "apply_transform",
+        lambda transform, y: 1.5 * real_apply(transform, y),
+    )
+    cfg = ExperimentConfig(bs_antennas=32, ues=4, clusters=4, symbols=50, seed=13)
+    with pytest.raises(RuntimeError, match="energy"):
+        run_trial(cfg, "hr-iso", 8.0, 0)

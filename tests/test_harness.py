@@ -935,6 +935,45 @@ assert all(m in sys.modules for m in heavy)
         assert (tmp_path / "sweep.csv").exists()
 
 
+class TestAllocatorPolicy:
+    def test_paper_scale_trials_fault_in_no_fresh_pages(self):
+        # A paper-scale trial frees a few MiB of temporaries. With glibc's
+        # thresholds pinned by run_sweep those pages stay resident, so a
+        # second identical sweep takes almost no minor page faults; left to
+        # glibc's default, each trial faults them in again. A fresh
+        # interpreter, as large frees earlier in the suite have already
+        # raised glibc's dynamic thresholds here.
+        pytest.importorskip("resource")
+        ctypes = pytest.importorskip("ctypes")
+        try:
+            ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError, TypeError):
+            pytest.skip("the C library has no mallopt")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        code = """
+import resource
+from hdrmimo.harness import ExperimentConfig, run_sweep
+
+cfg = ExperimentConfig(
+    bs_antennas=256, ues=32, clusters=32, symbols=100,
+    msnr_start=10, msnr_stop=10, realizations=2,
+)
+run_sweep(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_sweep(cfg)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / (len(cfg.methods) * cfg.realizations))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults_per_trial = float(proc.stdout)
+        assert faults_per_trial < 10, faults_per_trial
+
+
 class TestReadme:
     """The README's config file and command line still parse, so it cannot
     go on documenting a key or flag that no longer exists."""
