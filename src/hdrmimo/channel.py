@@ -23,25 +23,48 @@ def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
 
 
 # Entries per slice wherever a block is worked on piecewise: the floats of
-# the noise buffer and of apply_transform's column slices, and the bits
-# run_trial draws, modulates and slices at a time.
+# the noise buffer, of apply_transform's coefficients and of each of its
+# row updates, and the bits run_trial draws, modulates, multiplies into the
+# received block, equalizes and slices at a time (column_slices).
 SLICE_SIZE = 1 << 16
 
 
-def _add_complex_noise(
-    rng: np.random.Generator, out: np.ndarray, variance: float
-) -> None:
-    # Adds scale * (a + 1j*b), scale = sqrt(variance/2), to the C-contiguous
-    # complex array ``out`` in place. All real parts a are drawn before all
-    # imaginary parts b, as two rng.standard_normal(out.shape) calls would
-    # draw them, through one reused buffer of at most SLICE_SIZE floats.
+def column_slices(n: int, entries_per_column: int) -> list:
+    """Consecutive slices of ``range(n)`` that cover all n columns, each as
+    wide as the largest power of two at most ``SLICE_SIZE //
+    entries_per_column`` (at least 1).
+
+    A product over such a slice equals those columns of the whole product
+    bit for bit: every slice starts at a multiple of the power-of-two width,
+    so the BLAS kernels group its columns as in the whole product (a width
+    of SLICE_SIZE // 24 = 2730 columns did not). A remainder of a single
+    column joins the slice before it, because numpy takes a 1-column
+    product by another BLAS routine (gemv) that can round differently.
+    """
+    width = 1 << (max(1, SLICE_SIZE // entries_per_column).bit_length() - 1)
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [n]
+    return [slice(a, b) for a, b in zip(starts, ends)]
+
+
+def add_noise(y: np.ndarray, n0: float, rng: np.random.Generator) -> None:
+    """Add i.i.d. complex Gaussian noise of variance ``n0`` per entry to the
+    C-contiguous complex array ``y`` in place.
+
+    Adds scale * (a + 1j*b), scale = sqrt(n0/2), drawing all real parts a
+    before all imaginary parts b, as two ``rng.standard_normal(y.shape)``
+    calls would, through one reused buffer of at most ``SLICE_SIZE``
+    floats. A negative or NaN ``n0``, or a strided ``y``, raises ValueError.
+    """
     # The negated test also rejects a NaN variance.
-    if not variance >= 0:
-        raise ValueError(f"noise variance must be nonnegative, got {variance}")
-    if not out.flags.c_contiguous:
+    if not n0 >= 0:
+        raise ValueError(f"noise variance must be nonnegative, got {n0}")
+    if not y.flags.c_contiguous:
         raise ValueError("noise target must be C-contiguous")
-    scale = np.sqrt(variance / 2.0)
-    flat = out.reshape(-1)
+    scale = np.sqrt(n0 / 2.0)
+    flat = y.reshape(-1)
     draws = np.empty(min(flat.size, SLICE_SIZE))
     for part in (flat.real, flat.imag):
         for start in range(0, flat.size, SLICE_SIZE):
@@ -62,7 +85,7 @@ def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarra
     ValueError.
     """
     out = np.zeros(shape, dtype=complex)
-    _add_complex_noise(rng, out, variance)
+    add_noise(out, variance, rng)
     return out
 
 
@@ -172,8 +195,14 @@ def noise_variance_from_msnr(h: np.ndarray, msnr_db: float) -> float:
     number of users the median averages the two central order statistics.
     """
     b, u = h.shape
-    med = float(np.median(np.sum(np.abs(h) ** 2, axis=0)))
-    return u * med / (b * 10.0 ** (msnr_db / 10.0))
+    # np.median's arithmetic on sorted powers, without its NaN check, which
+    # imports numpy.ma: a NaN sorts last and makes the median NaN.
+    p = np.sort(np.sum(np.abs(h) ** 2, axis=0))
+    mid = u // 2
+    med = p[mid] if u % 2 else (p[mid - 1] + p[mid]) / 2.0
+    if np.isnan(p[-1]):
+        med = p[-1]
+    return u * float(med) / (b * 10.0 ** (msnr_db / 10.0))
 
 
 def observe(
@@ -187,11 +216,9 @@ def observe(
     ``n0`` raises ValueError.
 
     ``s`` may be a length-U symbol vector or a (U, n) block of symbol
-    vectors; the noise is drawn per entry of the output. Allocates the
-    product h @ s and one buffer of at most ``SLICE_SIZE`` floats, in which
-    the real and then the imaginary noise parts are drawn slice by slice,
-    scaled and added to the product in place: for a positive ``n0``, bit for
-    bit ``h @ s + complex_noise(rng, shape, n0)``, drawn in the same order.
+    vectors; the noise is drawn per entry of the output. The product h @ s
+    plus ``add_noise``: for a positive ``n0``, bit for bit
+    ``h @ s + complex_noise(rng, shape, n0)``, drawn in the same order.
     """
     s = np.asarray(s)
     if s.shape[0] != h.shape[1]:
@@ -199,5 +226,5 @@ def observe(
             f"symbol dimension {s.shape[0]} does not match user count {h.shape[1]}"
         )
     y = np.asarray(h @ s, dtype=complex)
-    _add_complex_noise(rng, y, n0)
+    add_noise(y, n0, rng)
     return y

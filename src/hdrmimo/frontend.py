@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SLICE_SIZE
+from .channel import column_slices
 from .linalg import HERMITIAN_RTOL
 
 # Relative residual bound on each eigenpair design_hr_max uses.
@@ -199,9 +199,10 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     ``y`` is a C-contiguous complex128 vector or (B, n) block; anything else
     is a ValueError and left unchanged. All C clusters are reflected at once
     by the batched rank-1 update x - w v (v^H x) on the (C, S, n) view of
-    ``y``; the dense matrix is never formed. The C n coefficients w v^H x
-    come first (1/S of a block), then the updates, in column slices of at
-    most ``SLICE_SIZE`` floats. The identity leaves ``y`` untouched; a
+    ``y``; the dense matrix is never formed. The update runs in the column
+    slices of ``channel.column_slices`` (at most ``SLICE_SIZE`` floats of
+    coefficients w v^H x each), one row of every cluster at a time, so each
+    temporary is one slice. The identity leaves ``y`` untouched; a
     passthrough row has w = 0, so for finite input its rows keep their values.
     """
     _check_block(y)
@@ -213,13 +214,13 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     if transform.is_identity:
         return y
     v, w = transform.vectors, transform._weights
+    v_h = v.conj()[:, None, :]
     x = y.reshape(transform.clusters, transform.block_size, -1)
-    coef = v.conj()[:, None, :] @ x
-    coef *= w[:, None, None]
-    step = max(1, SLICE_SIZE // (2 * transform.dim))
-    for start in range(0, x.shape[2], step):
-        cols = slice(start, start + step)
-        x[:, :, cols] -= v[:, :, None] * coef[:, :, cols]
+    for cols in column_slices(x.shape[2], 2 * transform.clusters):
+        coef = v_h @ x[:, :, cols]
+        coef *= w[:, None, None]
+        for row in range(transform.block_size):
+            x[:, row, cols] -= v[:, row, None] * coef[:, 0]
     return y
 
 

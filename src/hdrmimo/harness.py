@@ -8,13 +8,17 @@ import numbers
 import os
 import re
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .channel import SLICE_SIZE, noise_variance_from_msnr, observe, realize_channel
+from .channel import (
+    add_noise,
+    column_slices,
+    noise_variance_from_msnr,
+    realize_channel,
+)
 from .equalizer import (
     build_lmmse,
     build_unquantized_lmmse,
@@ -289,24 +293,23 @@ def run_trial(
     n0 = noise_variance_from_msnr(h, msnr_db)
     pilots = generate_pilots(cfg.ues)
     y_train = simulate_training(h, pilots, n0, rng)
-    # The bits are drawn, modulated and later sliced SLICE_SIZE bits (whole
-    # symbol vectors) at a time, which draws the same stream as one call;
-    # only one byte per bit and the (n, U) symbols are kept.
-    step = max(1, SLICE_SIZE // (4 * cfg.ues))
-    slices = [slice(i, i + step) for i in range(0, cfg.symbols, step)]
+    # The received block y is the trial's one (B, n) block. The bits are
+    # drawn and modulated a slice (whole symbol vectors) at a time, which
+    # draws the same stream as one call, and each slice's product h @ s is
+    # written into its columns of y; then the noise is added in place. Only
+    # one byte per bit is kept.
+    slices = column_slices(cfg.symbols, 4 * cfg.ues)
     tx_bits = np.empty((cfg.symbols, 4 * cfg.ues), dtype=np.uint8)
-    s = np.empty((cfg.symbols, cfg.ues), dtype=complex)
+    y = np.empty((cfg.bs_antennas, cfg.symbols), dtype=complex)
     for rows in slices:
         draw = rng.integers(0, 2, size=tx_bits[rows].shape)
-        s[rows] = modulate(draw).reshape(-1, cfg.ues)
+        np.matmul(h, modulate(draw).reshape(-1, cfg.ues).T, out=y[:, rows])
         tx_bits[rows] = draw
     del draw
-    y = observe(h, s.T, n0, rng)
-    del s
+    add_noise(y, n0, rng)
 
     est = estimate_from_training(y_train, pilots, cfg.clusters)
-    # The received block y is the data path's one (B, n) block: the transform
-    # and the ADC write over it in place, and it is dropped once equalized.
+    # The transform and the ADC write over y in place.
     if method == "perfect":
         w = build_unquantized_lmmse(est.h_hat, n0)
     else:
@@ -330,12 +333,12 @@ def run_trial(
             )
         y = adc(y, gains, quant)
 
-    s_hat = equalize(w, y)
-    del y
-    # s_hat is (U, n); its transpose lists the symbols in tx_bits order.
+    # Equalized and sliced a slice at a time: the (U, cols) soft symbols,
+    # transposed, list the symbols in tx_bits order.
     errors = 0
     for rows in slices:
-        errors += count_bit_errors(tx_bits[rows], hard_slice(s_hat[:, rows].T))[0]
+        s_hat = equalize(w, y[:, rows])
+        errors += count_bit_errors(tx_bits[rows], hard_slice(s_hat.T))[0]
     return errors, tx_bits.size
 
 
@@ -378,7 +381,7 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     malloc thresholds are pinned (``_pin_malloc_thresholds``), so blocks
     under 32 MiB come from the heap from the first trial on and freed pages
     stay resident. The policy changes where memory comes from, not any
-    result.
+    result. ``concurrent.futures`` is imported only for ``cfg.threads > 1``.
     """
     _pin_malloc_thresholds()
     grid = cfg.msnr_grid()
@@ -389,6 +392,8 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         for r in range(cfg.realizations)
     ]
     if cfg.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             outcomes = list(pool.map(lambda task: run_trial(cfg, *task), tasks))
     else:

@@ -200,6 +200,42 @@ class TestNoiseFromMsnr:
         assert np.isclose(n_b, 2.0 * n_a)
 
 
+    @staticmethod
+    def median_formula(h, msnr_db):
+        b, u = h.shape
+        med = float(np.median(np.sum(np.abs(h) ** 2, axis=0)))
+        return u * med / (b * 10.0 ** (msnr_db / 10.0))
+
+    @pytest.mark.parametrize("u", [2, 3, 7, 8, 31, 32])
+    def test_equals_the_np_median_formula(self, u):
+        # Bit for bit, for odd and even U, over powers spread across 40 dB
+        # with ties, and with infinite powers: one, or more than half, so
+        # that the middle entries are infinite.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            h = rng.standard_normal((16, u)) + 1j * rng.standard_normal((16, u))
+            h *= 10.0 ** rng.uniform(-1.0, 1.0, u)
+            h[:, u // 2] = h[:, 0]
+            for msnr_db in (-7.5, 0.0, 12.0):
+                assert noise_variance_from_msnr(h, msnr_db) == self.median_formula(
+                    h, msnr_db
+                )
+            for infinite in ([0], list(range(u // 2 + 1))):
+                g = h.copy()
+                g[0, infinite] = np.inf
+                want = self.median_formula(g, 3.0)
+                assert noise_variance_from_msnr(g, 3.0) == want, infinite
+        assert np.isinf(want)
+
+    @pytest.mark.parametrize("u", [2, 3, 8, 31])
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_nan_power_gives_nan(self, u, column):
+        h = np.ones((4, u), dtype=complex)
+        h[1, column] = np.nan
+        assert np.isnan(self.median_formula(h, 0.0))
+        assert np.isnan(noise_variance_from_msnr(h, 0.0))
+
+
 class TestObserve:
     def test_noiseless_selects_column(self):
         rng = np.random.default_rng(7)

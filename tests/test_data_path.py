@@ -225,7 +225,7 @@ class TestNoise:
         # A strided target would be flattened into a copy and lose the noise.
         target = np.zeros((6, 8), complex)[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            channel._add_complex_noise(np.random.default_rng(0), target, 1.0)
+            channel.add_noise(target, 1.0, np.random.default_rng(0))
         assert not np.any(target)
 
     def test_zero_variance_gives_zeros(self):
@@ -340,8 +340,10 @@ class TestInPlace:
             identity_transform(64, 8),
         ]
 
-    # n = 1061 is not a multiple of the column slice (512 columns at B = 64).
-    @pytest.mark.parametrize("n", [None, 1, 1061])
+    # The column slices are 4096 columns at C = 8: n = 1061 is one slice,
+    # and 2 * 4096 + 1 leaves a 1-column remainder, which joins the slice
+    # before it. Bit for bit with one BLAS thread, the suite's setting.
+    @pytest.mark.parametrize("n", [None, 1, 1061, 2 * 4096 + 1])
     def test_apply_transform(self, n):
         rng = np.random.default_rng(33)
         for t in self.transforms(rng):
@@ -450,6 +452,46 @@ class TestHardSlice:
             hard_slice(s)
 
 
+class TestColumnSlices:
+    """The slices a block is worked on in, and the products over them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 2047, 2048, 2049, 2050, 4097])
+    @pytest.mark.parametrize("entries, width", [(32, 2048), (24, 2048)])
+    def test_slices_cover_the_block_in_order(self, n, entries, width):
+        # The width is the largest power of two within SLICE_SIZE entries:
+        # 2^16 / 24 = 2730 columns round down to 2048.
+        slices = channel.column_slices(n, entries)
+        assert slices[0].start == 0 and slices[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        widths = [s.stop - s.start for s in slices]
+        assert all(w == width for w in widths[:-1])
+        assert 2 <= widths[-1] <= width + 1 or n == 1
+
+    @pytest.mark.parametrize("remainder", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "b, u, c", [(64, 8, 8), (256, 32, 32), (16, 4, 4), (48, 6, 6)]
+    )
+    def test_sliced_products_equal_the_whole_product(self, b, u, c, remainder):
+        # Each product a trial takes slice by slice, over the slices it
+        # takes it in, with one BLAS thread (the suite's setting): h @ s and
+        # w @ y over the bit slices, and the reflection coefficients v^H x
+        # over the transform's. At U = C = 6 the slices are 2048 and 4096
+        # columns wide, not 2730 and 5461.
+        rng = np.random.default_rng(36)
+        n = 2 * channel.column_slices(10**6, 4 * u)[0].stop + remainder
+        h = random_complex(rng, b, u)
+        w = build_unquantized_lmmse(h, 0.1)  # the layout a solve returns
+        s, y = random_complex(rng, n, u).T, random_complex(rng, b, n)
+        for rows in channel.column_slices(n, 4 * u):
+            assert_same_floats(h @ s[:, rows], (h @ s)[:, rows])
+            assert_same_floats(w @ y[:, rows], (w @ y)[:, rows])
+        n = 2 * channel.column_slices(10**6, 2 * c)[0].stop + remainder
+        v_h = random_complex(rng, c, 1, b // c)
+        x = random_complex(rng, b, n).reshape(c, b // c, n)
+        for cols in channel.column_slices(n, 2 * c):
+            assert_same_floats(v_h @ x[:, :, cols], (v_h @ x)[:, :, cols])
+
+
 def trial_cfg(**kwargs):
     defaults = dict(
         q_bits=3, rho_db=30.0, msnr_start=4.0, msnr_stop=12.0, msnr_step=8.0,
@@ -468,8 +510,13 @@ def trial_cfg(**kwargs):
         trial_cfg(
             bs_antennas=16, ues=4, clusters=4, symbols=2 * channel.SLICE_SIZE // 16 + 3
         ),
+        # A 1-row tail, which joins the bit slice before it; the transform's
+        # slices (8192 columns at C = 4) leave a 1-column tail too.
+        trial_cfg(
+            bs_antennas=16, ues=4, clusters=4, symbols=2 * channel.SLICE_SIZE // 16 + 1
+        ),
     ],
-    ids=["desk", "paper", "sliced"],
+    ids=["desk", "paper", "sliced", "sliced-1"],
 )
 def test_run_trial_matches_reference_trial(cfg):
     for method in METHODS:

@@ -534,25 +534,42 @@ class TestRunTrial:
                 tracemalloc.stop()
             assert peak < 1.3 * block, (method, peak / block)
 
-    def test_draws_before_observe_hold_no_block_of_bits(self, monkeypatch):
-        # On the same 20,000-symbol trial the bits are drawn and modulated
-        # 2^16 bits at a time, so on entry to observe the traced peak is the
-        # (n, U) symbols (1/8 block), one byte per bit (1/32 block) and one
-        # slice's draw and modulation: 0.208 blocks measured for every method.
-        # Drawing all bits at once as int64 (a quarter block) with the whole
-        # modulation index and symbols next to it measured 0.438 blocks. The
-        # whole-trial peak is 1.18-1.20 blocks either way, above, which is why
-        # peak RSS has to be measured itself.
+    def test_long_block_holds_under_1_1_blocks(self):
+        # The received block is the trial's one block-sized array: the
+        # symbols go straight into its columns, the reflection coefficients
+        # and the soft symbols are one slice at a time. Beside it, the bits
+        # (1/32 block) and slices: 1.083 blocks measured for perfect, wsu
+        # and none, 1.091 for hr-iso and hr-max (1.18-1.20 with whole (n, U)
+        # symbol and soft-symbol arrays and (C, 1, n) coefficients).
         cfg = smoke_cfg(realizations=1, symbols=20000)
         block = 64 * 20000 * np.dtype(complex).itemsize
-        observe = harness.observe
+        for method in METHODS:
+            run_trial(cfg, method, 10.0, 0)
+            tracemalloc.start()
+            try:
+                run_trial(cfg, method, 10.0, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.1 * block, (method, peak / block)
+
+    def test_draws_before_observe_hold_no_block_of_bits(self, monkeypatch):
+        # On the same 20,000-symbol trial the received block is allocated
+        # first, and the bits are drawn and modulated 2^16 bits at a time
+        # into its columns. So on entry to the noise step the traced peak is
+        # the block, one byte per bit (1/32 block) and one slice's draw and
+        # modulation: 1.083 blocks measured for every method. Drawing all
+        # bits at once as int64 (a quarter block) gives 1.25 blocks or more.
+        cfg = smoke_cfg(realizations=1, symbols=20000)
+        block = 64 * 20000 * np.dtype(complex).itemsize
+        add_noise = harness.add_noise
         peaks = []
 
-        def observe_after_draws(*args):
+        def add_noise_after_draws(*args):
             peaks.append(tracemalloc.get_traced_memory()[1])
-            return observe(*args)
+            return add_noise(*args)
 
-        monkeypatch.setattr(harness, "observe", observe_after_draws)
+        monkeypatch.setattr(harness, "add_noise", add_noise_after_draws)
         for method in METHODS:
             run_trial(cfg, method, 10.0, 0)
             tracemalloc.start()
@@ -560,7 +577,7 @@ class TestRunTrial:
                 run_trial(cfg, method, 10.0, 0)
             finally:
                 tracemalloc.stop()
-            assert peaks[-1] < 0.25 * block, (method, peaks[-1] / block)
+            assert peaks[-1] < 1.1 * block, (method, peaks[-1] / block)
 
     def test_no_per_cluster_primitives_in_a_trial(self, monkeypatch):
         # Reflector design, application and AGC work on whole (C, S) arrays;
@@ -921,6 +938,39 @@ assert not loaded, loaded
 from hdrmimo.frontend import optimal_step_size
 assert abs(optimal_step_size(3) - hdrmimo.design_quantizer(3).delta) <= 1e-8
 assert all(m in sys.modules for m in heavy)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "sweep.csv").exists()
+
+    def test_one_thread_sweep_loads_no_masked_arrays_or_thread_pool(self, tmp_path):
+        # The noise level takes its median without np.median's NaN check,
+        # which imports numpy.ma, and run_sweep imports concurrent.futures
+        # only for a pool of threads. A fresh interpreter, as the suite has
+        # loaded both already.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = f"""
+import sys
+import hdrmimo, hdrmimo.cli
+
+hdrmimo.cli.main([
+    "--bs-antennas", "16", "--ues", "4", "--clusters", "4",
+    "--msnr-start", "10", "--msnr-stop", "10", "--realizations", "1",
+    "--symbols", "10", "--out", {str(tmp_path / "sweep.csv")!r},
+])
+loaded = [
+    m for m in sys.modules
+    if m.split(".")[0] == "concurrent" or m.split(".")[:2] == ["numpy", "ma"]
+]
+assert not loaded, loaded
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
