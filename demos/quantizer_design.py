@@ -11,12 +11,12 @@ quantization noise.
 import numpy as np
 
 from hdrmimo import design_quantizer, midrise
-from hdrmimo.frontend import quantizer_mse
 
 print("bits   step     gain     distortion   rms error")
 for q in range(1, 9):
     quant = design_quantizer(q)
-    rmse = np.sqrt(quantizer_mse(q, quant.delta))
+    # Bussgang: Q(x) - x = d - (1 - gamma) x with d uncorrelated with x.
+    rmse = np.sqrt((1 - quant.gamma) ** 2 + quant.dist_power)
     print(
         f"{q:3d}   {quant.delta:.4f}   {quant.gamma:.6f}   {quant.dist_power:.2e}"
         f"     {rmse:.2e}"

@@ -27,14 +27,12 @@ from .frontend import (
     SpatialTransform,
     adc,
     apply_transform,
-    bussgang_constants,
     compute_agc,
     design_hr_iso,
     design_hr_max,
     design_quantizer,
     identity_transform,
     midrise,
-    optimal_step_size,
 )
 from .harness import (
     METHODS,

@@ -224,12 +224,6 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _cell_edges(q: int, delta: float) -> np.ndarray:
-    # Nonnegative cell edges 0, delta, ..., delta*2^(q-1); the last edge is
-    # the saturation threshold.
-    return delta * np.arange(2 ** (q - 1) + 1)
-
-
 def midrise(x: np.ndarray, delta: float, q: int) -> np.ndarray:
     """Uniform midrise quantizer with saturation, applied elementwise.
 
@@ -261,70 +255,11 @@ def _midrise_inplace(x: np.ndarray, delta: float, q: int) -> None:
     x *= delta
 
 
-def _gaussian_cell_moments(q: int, delta: float):
-    # Per-cell output levels and standard-normal integrals over the positive
-    # half-axis; the quantizer is odd so the negative half mirrors these.
-    from scipy.special import ndtr  # deferred: only design code runs this
-
-    edges = _cell_edges(q, delta)
-    lo, hi = edges[:-1], edges[1:]
-    levels = (lo + hi) / 2.0
-    pdf_lo = np.exp(-0.5 * lo**2) / np.sqrt(2.0 * np.pi)
-    pdf_hi = np.exp(-0.5 * hi**2) / np.sqrt(2.0 * np.pi)
-    prob = ndtr(hi) - ndtr(lo)
-    threshold = edges[-1]
-    sat_level = (delta / 2.0) * (2**q - 1)
-    sat_prob = 1.0 - ndtr(threshold)
-    sat_pdf = np.exp(-0.5 * threshold**2) / np.sqrt(2.0 * np.pi)
-    # E[Q x] and E[Q^2] over the full axis (twice the positive half).
-    corr = 2.0 * (np.sum(levels * (pdf_lo - pdf_hi)) + sat_level * sat_pdf)
-    power = 2.0 * (np.sum(levels**2 * prob) + sat_level**2 * sat_prob)
-    return corr, power
-
-
-def bussgang_constants(q: int, delta: float) -> tuple[float, float]:
-    """Bussgang gain and distortion power for unit-variance Gaussian input.
-
-    gamma = E[Q(x) x] and D = E[Q(x)^2] - gamma^2 for x ~ N(0, 1), evaluated
-    exactly by splitting the Gaussian integrals at the quantizer thresholds.
-    """
-    if delta <= 0:
-        raise ValueError("step size must be positive")
-    corr, power = _gaussian_cell_moments(q, delta)
-    gamma = corr
-    return float(gamma), float(power - gamma**2)
-
-
-def quantizer_mse(q: int, delta: float) -> float:
-    """Mean squared quantization error E[(Q(x) - x)^2] for x ~ N(0, 1)."""
-    corr, power = _gaussian_cell_moments(q, delta)
-    return float(power - 2.0 * corr + 1.0)
-
-
-def optimal_step_size(q: int) -> float:
-    """MSE-minimizing midrise step size for a unit-variance Gaussian input."""
-    if not 1 <= q <= 12:
-        raise ValueError(f"supported bit depths are 1..12, got {q}")
-    from scipy.optimize import minimize_scalar  # deferred, as ndtr above
-
-    # Coarse geometric scan to bracket the minimum, then a bounded search.
-    grid = np.geomspace(1e-4, 4.0, 200)
-    coarse = np.array([quantizer_mse(q, d) for d in grid])
-    k = int(np.argmin(coarse))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda d: quantizer_mse(q, d),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x)
-
-
-# q -> (delta, gamma, dist_power): optimal_step_size(q) and
-# bussgang_constants(q, delta), tabulated so that a sweep need not load
-# scipy.optimize and scipy.special. The tests recompute every entry.
+# q -> (delta, gamma, dist_power): the MSE-optimal step size for a
+# unit-variance Gaussian input, and its Bussgang gain E[Q(x) x] and
+# distortion power E[Q(x)^2] - gamma^2. The design code that computes them
+# (exact Gaussian cell integrals and a bounded search, on scipy) lives in
+# tests/oracles.py, and the tests recompute every entry with it.
 _DESIGNED = {
     1: (1.5957691216057197, 0.636619772367577, 0.231335037798227),
     2: (0.9956866832465869, 0.8811539485287245, 0.10472166643376368),

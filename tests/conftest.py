@@ -2,7 +2,8 @@
 
 Tier-1 runs many small matrix operations; on a few-core machine BLAS
 threading makes them several times slower. ``setdefault`` keeps any value
-the caller exported.
+the caller exported. The bit-for-bit data-path tests (``TestColumnSlices``,
+``TestInPlace``) assume this pin.
 """
 
 import os

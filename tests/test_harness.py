@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -607,11 +609,21 @@ class TestRunTrial:
 
     def test_test_only_primitives_not_reexported(self):
         # They stay in linalg and training for the benchmark's tracer and
-        # as test oracles, but are not part of the package namespace.
+        # as test oracles, but are not part of the package namespace. The
+        # quantizer design code lives in tests/oracles.py: no module of the
+        # package binds it.
         import hdrmimo
 
         for name in ("householder_apply", "dominant_eigenpair", "sample_covariance"):
             assert not hasattr(hdrmimo, name)
+        modules = [hdrmimo] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(hdrmimo.__path__, "hdrmimo.")
+        ]
+        assert len(modules) >= 8  # the package and its seven modules
+        for name in ("bussgang_constants", "optimal_step_size", "quantizer_mse"):
+            bound = [m.__name__ for m in modules if hasattr(m, name)]
+            assert not bound, (name, bound)
 
 
 class TestRunSweep:
@@ -918,26 +930,24 @@ class TestCli:
 
 class TestStartupImports:
     def test_sweep_loads_no_design_modules(self, tmp_path):
-        # A CLI sweep runs on numpy alone and loads no scipy module: the
-        # quantizer designs are tabulated, and the solves and pilots use
-        # numpy. optimal_step_size loads scipy.optimize and scipy.special on
-        # demand. A fresh interpreter, as the suite has loaded them already.
+        # The package runs on numpy alone: the quantizer designs are
+        # tabulated, and the solves and pilots use numpy. A fresh
+        # interpreter blocks scipy before the package loads, so any import
+        # of it, at load time or inside a sweep, is an ImportError; then
+        # every module of the package is imported.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = f"""
-import sys
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
 import hdrmimo, hdrmimo.cli
 
-heavy = ("scipy.optimize", "scipy.special")
 hdrmimo.cli.main([
     "--bs-antennas", "16", "--ues", "4", "--clusters", "4",
     "--msnr-start", "10", "--msnr-stop", "10", "--realizations", "1",
     "--symbols", "10", "--out", {str(tmp_path / "sweep.csv")!r},
 ])
-loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-assert not loaded, loaded
-from hdrmimo.frontend import optimal_step_size
-assert abs(optimal_step_size(3) - hdrmimo.design_quantizer(3).delta) <= 1e-8
-assert all(m in sys.modules for m in heavy)
+for info in pkgutil.iter_modules(hdrmimo.__path__, "hdrmimo."):
+    importlib.import_module(info.name)
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
