@@ -57,28 +57,20 @@ def hard_slice(s_hat: np.ndarray) -> np.ndarray:
     Returns 4 bits per input symbol as uint8, in C order of ``s_hat`` (any
     shape, views such as a transpose included); hard_slice(modulate(b)) == b.
     Per real dimension the decision index is clip(floor((x*sqrt(10) + 4)/2),
-    0, 3), so +-inf take the outer levels. A NaN soft symbol raises
-    ValueError.
-
-    Allocates one float buffer of two entries per symbol, in which both
-    indices are computed in place and combined into the row 4*i + q of a
-    16-row bit table, then the row indices and the bits.
+    0, 3), so +-inf take the outer levels; the in-phase index i and the
+    quadrature index q pick the row 4*i + q of a 16-row bit table. A NaN
+    soft symbol raises ValueError. A trial slices one bit slice at a time,
+    so each temporary is slice-sized.
     """
     s_hat = np.asarray(s_hat, dtype=complex)
-    idx = np.empty(s_hat.shape + (2,))
-    i, q = idx[..., 0], idx[..., 1]
-    np.multiply(s_hat.real, np.sqrt(10.0), out=i)
-    np.multiply(s_hat.imag, np.sqrt(10.0), out=q)
-    idx += 4.0
-    idx /= 2.0
-    np.floor(idx, out=idx)
-    np.clip(idx, 0, 3, out=idx)
-    i *= 4.0
-    i += q
+    i = np.clip(np.floor((s_hat.real * np.sqrt(10.0) + 4.0) / 2.0), 0, 3)
+    q = np.clip(np.floor((s_hat.imag * np.sqrt(10.0) + 4.0) / 2.0), 0, 3)
+    row = i * 4.0 + q
     # After clipping only NaN is non-finite, and it reaches the row index.
-    if np.isnan(np.sum(i)):
+    if np.isnan(np.sum(row)):
         raise ValueError("cannot slice a NaN soft symbol")
-    return _BITS[i.astype(np.intp)].reshape(-1)
+    # A C-ordered index: gathering through a transposed one is slower.
+    return _BITS[row.astype(np.intp, order="C")].reshape(-1)
 
 
 def count_bit_errors(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from .linalg import HERMITIAN_RTOL
 EIG_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialTransform:
     """Block-diagonal spatial transform with one reflector per antenna cluster.
 
@@ -29,7 +29,7 @@ class SpatialTransform:
 
     vectors: np.ndarray
     # Per-row weights 2 / ||v||^2, 0 for a passthrough row.
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vectors = np.array(self.vectors, dtype=complex)
@@ -88,7 +88,7 @@ class QuantizerModel:
             raise ValueError("need 0 < gamma <= 1 and dist_power >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgcGains:
     """Per-ADC amplitude gains normalizing each real dimension to unit variance."""
 
@@ -186,11 +186,14 @@ def design_hr_max(c_blocks: np.ndarray) -> SpatialTransform:
 
 
 def _check_block(y: np.ndarray) -> None:
-    # The data path writes over its input: a C-contiguous complex128 array.
+    # The one kind of input the data path writes over.
     if not (
-        isinstance(y, np.ndarray) and y.dtype == complex and y.flags.c_contiguous
+        isinstance(y, np.ndarray) and y.dtype == complex and y.ndim in (1, 2)
+        and y.flags.c_contiguous
     ):
-        raise ValueError("the input must be a C-contiguous complex128 array")
+        raise ValueError(
+            "the input must be a C-contiguous complex128 vector or (B, n) block"
+        )
 
 
 def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
@@ -255,35 +258,36 @@ def _midrise_inplace(x: np.ndarray, delta: float, q: int) -> None:
     x *= delta
 
 
-# q -> (delta, gamma, dist_power): the MSE-optimal step size for a
-# unit-variance Gaussian input, and its Bussgang gain E[Q(x) x] and
-# distortion power E[Q(x)^2] - gamma^2. The design code that computes them
+# The designed quantizer for q = 1..12, built once at import: the MSE-optimal
+# step size delta for a unit-variance Gaussian input, its Bussgang gain
+# gamma = E[Q(x) x] and distortion power E[Q(x)^2] - gamma^2. The design code
 # (exact Gaussian cell integrals and a bounded search, on scipy) lives in
 # tests/oracles.py, and the tests recompute every entry with it.
 _DESIGNED = {
-    1: (1.5957691216057197, 0.636619772367577, 0.231335037798227),
-    2: (0.9956866832465869, 0.8811539485287245, 0.10472166643376368),
-    3: (0.5860194303128881, 0.9625603368859995, 0.036037931017433134),
-    4: (0.33520060552880343, 0.9884571139016854, 0.011409646211872015),
-    5: (0.18813878810875367, 0.9965047882593371, 0.003482994856393251),
-    6: (0.10406300180220655, 0.9989599537029747, 0.0010389637124916806),
-    7: (0.0568676647549176, 0.9996956666604536, 0.00030424015204233434),
-    8: (0.030762388531658195, 0.9999123138582848, 8.767849692425944e-05),
-    9: (0.016498965586041876, 0.9999750811625608, 2.491840869756068e-05),
-    10: (0.008785469047518231, 0.9999930030699075, 6.996956239846419e-06),
-    11: (0.004649842333125978, 0.9999980555917519, 1.9444093477538615e-06),
-    12: (0.002448404806738284, 0.9999994644276773, 5.355362494574578e-07),
+    q: QuantizerModel(q=q, delta=delta, gamma=gamma, dist_power=dist)
+    for q, delta, gamma, dist in (
+        (1, 1.5957691216057197, 0.636619772367577, 0.231335037798227),
+        (2, 0.9956866832465869, 0.8811539485287245, 0.10472166643376368),
+        (3, 0.5860194303128881, 0.9625603368859995, 0.036037931017433134),
+        (4, 0.33520060552880343, 0.9884571139016854, 0.011409646211872015),
+        (5, 0.18813878810875367, 0.9965047882593371, 0.003482994856393251),
+        (6, 0.10406300180220655, 0.9989599537029747, 0.0010389637124916806),
+        (7, 0.0568676647549176, 0.9996956666604536, 0.00030424015204233434),
+        (8, 0.030762388531658195, 0.9999123138582848, 8.767849692425944e-05),
+        (9, 0.016498965586041876, 0.9999750811625608, 2.491840869756068e-05),
+        (10, 0.008785469047518231, 0.9999930030699075, 6.996956239846419e-06),
+        (11, 0.004649842333125978, 0.9999980555917519, 1.9444093477538615e-06),
+        (12, 0.002448404806738284, 0.9999994644276773, 5.355362494574578e-07),
+    )
 }
 
 
-@functools.lru_cache(maxsize=None)
 def design_quantizer(q: int) -> QuantizerModel:
-    """Quantizer with the MSE-optimal step size and its Bussgang constants,
-    read from the tabulated designs for q = 1..12."""
+    """Quantizer with the MSE-optimal step size and its Bussgang constants:
+    the tabulated design for q = 1..12, one shared object per q."""
     if q not in _DESIGNED:
         raise ValueError(f"supported bit depths are 1..12, got {q}")
-    delta, gamma, dist = _DESIGNED[q]
-    return QuantizerModel(q=q, delta=delta, gamma=gamma, dist_power=dist)
+    return _DESIGNED[q]
 
 
 def compute_agc(c_blocks: np.ndarray, transform: SpatialTransform) -> AgcGains:

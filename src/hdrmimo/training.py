@@ -1,6 +1,7 @@
-"""Pilot-based training: orthogonal pilots, least-squares channel
-estimation, per-cluster covariance blocks, and strongest-user
-identification."""
+"""Pilot-based training: orthogonal pilots, the training block (the
+pilots sent through ``channel.observe``, which ``simulate_training``
+names), least-squares channel estimation, per-cluster covariance blocks,
+and strongest-user identification."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .channel import observe
 from .frontend import split_clusters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingOutput:
     """Everything the receiver learns from one training phase.
 
@@ -44,21 +45,9 @@ def generate_pilots(u: int) -> np.ndarray:
     return full[:u, :]
 
 
-def simulate_training(
-    h: np.ndarray,
-    pilots: np.ndarray,
-    n0: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The training block H @ S_T + N_T, with no quantizer in its path.
-
-    The (B, K) block that ``observe`` receives for the (U, K) pilot block
-    with noise variance ``n0`` per entry, bit for bit
-    ``h @ pilots + complex_noise(rng, (B, K), n0)`` from the same draws of
-    ``rng``. A pilot block whose row count is not U, or a negative or NaN
-    ``n0``, raises ValueError.
-    """
-    return observe(h, pilots, n0, rng)
+# The training block H @ S_T + N_T is the (B, K) block that ``observe``
+# receives for the (U, K) pilot block, with no quantizer in its path.
+simulate_training = observe
 
 
 def ls_channel_estimate(y_train: np.ndarray, pilots: np.ndarray) -> np.ndarray:

@@ -363,13 +363,16 @@ class TestInPlace:
         assert adc(y, gains, quant) is y
         assert_same_floats(y, want)
 
-    # Every way an input can miss the contract: its dtype, or its layout.
+    # Every way an input can miss the contract: its dtype, its layout, or
+    # its rank (a C-contiguous 0-d or 3-D complex128 array).
     OTHER_INPUTS = {
         "float": lambda y: y.real.copy(),
         "complex64": lambda y: y.astype(np.complex64),
         "fortran": np.asfortranarray,
         "strided": lambda y: y[:, ::2],
         "column": lambda y: y[:, 0],
+        "0-d": lambda y: np.array(y[0, 0]),
+        "3-D": lambda y: y.reshape(64, 6, 10),
     }
 
     @pytest.mark.parametrize("kind", OTHER_INPUTS)

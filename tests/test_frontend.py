@@ -22,7 +22,7 @@ from hdrmimo.frontend import (
     split_clusters,
 )
 from hdrmimo.linalg import dominant_eigenpair, householder_apply
-from hdrmimo.training import covariance_blocks
+from hdrmimo.training import covariance_blocks, estimate_from_training, generate_pilots
 from oracles import (
     bussgang_constants,
     complex_sign,
@@ -431,6 +431,30 @@ class TestTransformReadOnly:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
+
+
+class TestArrayRecordsCompareByIdentity:
+    """The records that hold arrays compare and hash by identity: a field
+    by field ``==`` of arrays is ambiguous, and an array is unhashable."""
+
+    RECORDS = {
+        "SpatialTransform": lambda rng: design_hr_iso(random_complex(rng, 8), 2),
+        "identity": lambda rng: identity_transform(8, 2),
+        "AgcGains": lambda rng: AgcGains(rng.uniform(0.5, 2.0, 8)),
+        "TrainingOutput": lambda rng: estimate_from_training(
+            random_complex(rng, 8, 4), generate_pilots(3), 2
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_hashes_and_equals_itself(self, kind):
+        rng = np.random.default_rng(32)
+        a = self.RECORDS[kind](rng)
+        b = self.RECORDS[kind](np.random.default_rng(32))
+        assert a == a and not a != a
+        assert hash(a) == hash(a) and len({a, a}) == 1
+        # Equal contents are not enough: only the same object is equal.
+        assert (a == b) is (a is b)
 
 
 class TestDataPathMemory:
