@@ -56,8 +56,8 @@ def config_from_argv(argv: Optional[Sequence[str]] = None) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = config_from_argv(argv)
-    # Checked here, not in the config, which takes any path text: a file
-    # that cannot be written would otherwise fail only after the sweep.
+    # Checked here, not in the config, which reads only the path text: a
+    # file that cannot be written would otherwise fail only after the sweep.
     for key in ("out", "plot_script"):
         path = getattr(cfg, key)
         folder = os.path.dirname(path) or os.curdir

@@ -9,10 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import column_slices
-from .linalg import HERMITIAN_RTOL
-
-# Relative residual bound on each eigenpair design_hr_max uses.
-EIG_RESIDUAL_TOL = 1e-10
+from .linalg import check_eigen_residual, check_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +141,11 @@ def design_hr_max(c_blocks: np.ndarray) -> SpatialTransform:
     ``c_blocks`` is the (C, S, S) stack of diagonal receive-covariance
     blocks, one per cluster. One batched Hermitian eigendecomposition gives
     each block's dominant eigenvector l_1, and hr-iso's reflector rule is
-    applied to the stacked l_1: v = l_1 + ||l_1|| sign([l_1]_1) e_1. Each
-    eigenpair must meet the residual bound
-    ``||C l - lambda l|| <= EIG_RESIDUAL_TOL * max(lambda, trace(C)/S)``,
-    else RuntimeError. A zero block, or one whose top eigenvalue is not
-    positive, gets a zero l_1 and so falls back to identity.
+    applied to the stacked l_1: v = l_1 + ||l_1|| sign([l_1]_1) e_1. The
+    stack must pass ``linalg.check_hermitian`` (else ValueError) and each
+    eigenpair ``linalg.check_eigen_residual`` (else RuntimeError). A zero
+    block, or one whose top eigenvalue is not positive, gets a zero l_1 and
+    so falls back to identity.
     """
     c = np.asarray(c_blocks, dtype=complex)
     if c.ndim != 3 or c.shape[1] != c.shape[2]:
@@ -156,31 +153,14 @@ def design_hr_max(c_blocks: np.ndarray) -> SpatialTransform:
             f"hr-max design needs a (C, S, S) stack of covariance blocks, "
             f"got shape {c.shape}"
         )
-    scale = np.linalg.norm(c, axis=(1, 2))
-    skew = np.linalg.norm(c - c.conj().transpose(0, 2, 1), axis=(1, 2))
-    bad = np.flatnonzero(skew > HERMITIAN_RTOL * np.maximum(scale, 1.0))
-    if bad.size:
-        raise ValueError(
-            f"covariance block {bad[0]} is not Hermitian within tolerance"
-        )
+    check_hermitian(c)
     try:
         values, vectors = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
     top = np.maximum(values[:, -1], 0.0)
     lead = vectors[:, :, -1]
-    residual = np.linalg.norm(
-        (c @ lead[:, :, None])[:, :, 0] - top[:, None] * lead, axis=1
-    )
-    mean_power = np.trace(c, axis1=1, axis2=2).real / c.shape[1]
-    bound = EIG_RESIDUAL_TOL * np.maximum(top, mean_power)
-    bad = np.flatnonzero(residual > bound)
-    if bad.size:
-        k = bad[0]
-        raise RuntimeError(
-            f"dominant eigenpair residual {residual[k]:.3e} of block {k} "
-            f"exceeds bound {bound[k]:.3e}; value={top[k]!r}"
-        )
+    check_eigen_residual(c, top, lead)
     lead[(top <= 0.0) | ~np.any(c, axis=(1, 2))] = 0.0
     return design_hr_iso(lead.reshape(-1), c.shape[0])
 

@@ -120,9 +120,9 @@ class ExperimentConfig:
     applies the rules that tie keys together: ``bs_antennas >= ues``,
     ``clusters`` divides ``bs_antennas``, ``rho_db >= dr_limit_db``,
     ``methods`` names distinct known methods, ``out`` is not empty and not
-    the file ``plot_script`` names, and ``msnr_stop >= msnr_start``. An
-    empty ``plot_script`` means no script. A bad value raises a ValueError
-    that names the key.
+    the file ``plot_script`` names (nor, with a ``plot_script``, holds a
+    line break), and ``msnr_stop >= msnr_start``. An empty ``plot_script``
+    means no script. A bad value raises a ValueError that names the key.
     """
 
     bs_antennas: int = config_key(256, "basestation antenna count")
@@ -201,6 +201,9 @@ class ExperimentConfig:
                 raise ValueError(f"methods lists '{m}' more than once")
         if not self.out:
             raise ValueError("out must name the output CSV, got ''")
+        if self.plot_script and ("\n" in self.out or "\r" in self.out):
+            # The script names out in a gnuplot string, which cannot hold one.
+            raise ValueError(f"out must not hold a line break, got {self.out!r}")
         if self.plot_script and (
             os.path.abspath(self.plot_script) == os.path.abspath(self.out)
         ):
@@ -451,17 +454,26 @@ def read_csv(path: str) -> list:
                 f"{path}:{lineno}: expected {len(_RECORD_TYPES)} columns, "
                 f"got {len(cells)}"
             )
-        row = (kind(cell) for kind, cell in zip(_RECORD_TYPES.values(), cells))
+        row = []
+        for (key, kind), cell in zip(_RECORD_TYPES.items(), cells):
+            try:
+                row.append(kind(cell))
+            except ValueError:
+                msg = f"column '{key}' needs {kind.__name__}, got {cell!r}"
+                raise ValueError(f"{path}:{lineno}: {msg}") from None
         records.append(ResultRecord(*row))
     return records
 
 
 def emit_plot_script(
-    records: Sequence[ResultRecord], path: str, csv_path: str = "results.csv"
+    records: Sequence[ResultRecord], path: str, csv_path: str
 ) -> None:
-    """Emit a standalone gnuplot script: log-BER vs MSNR, one curve per method."""
+    """Emit a standalone gnuplot script: log-BER vs MSNR, one curve per method,
+    read from ``csv_path``, which must hold no line break (ValueError)."""
     if not records:
         raise ValueError("no records to plot")
+    if "\n" in csv_path or "\r" in csv_path:
+        raise ValueError(f"csv_path holds a line break: {csv_path!r}")
     methods = []
     for r in records:
         if r.method not in methods:

@@ -3,16 +3,11 @@ Hermitian eigen/solve helpers, on numpy alone."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
+# Relative bounds of the two eigenproblem checks below.
 HERMITIAN_RTOL = 1e-12
-
-
-class EigenPair(NamedTuple):
-    value: float
-    vector: np.ndarray
+EIG_RESIDUAL_TOL = 1e-10
 
 
 def householder_apply(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -45,38 +40,50 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    a = _check_square(a)
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > HERMITIAN_RTOL * max(scale, 1.0):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return a
+def check_hermitian(c: np.ndarray) -> None:
+    """ValueError unless each block of the (..., M, M) stack ``c`` meets
+    ||C - C^H|| <= HERMITIAN_RTOL ||C|| (Frobenius): scale-free; a zero block
+    passes and a NaN fails. Blocks count over the flattened stack, from 0."""
+    c = c.reshape(-1, *c.shape[-2:])
+    skew = np.linalg.norm(c - c.conj().transpose(0, 2, 1), axis=(1, 2))
+    scale = np.linalg.norm(c, axis=(1, 2))
+    bad = np.flatnonzero(~(skew <= HERMITIAN_RTOL * scale))
+    if bad.size:
+        raise ValueError(f"block {bad[0]} is not Hermitian within tolerance")
 
 
-def dominant_eigenpair(c: np.ndarray, tol: float = 1e-10) -> EigenPair:
-    """Largest eigenvalue and a unit-norm eigenvector of a Hermitian PSD matrix.
+def check_eigen_residual(c: np.ndarray, lam: np.ndarray | float, v: np.ndarray) -> None:
+    """RuntimeError unless each block C of the (..., M, M) stack ``c`` and
+    its eigenpair (lambda, l) in ``lam`` (...) and ``v`` (..., M) meet
+    ||C l - lambda l|| <= EIG_RESIDUAL_TOL max(lambda, trace(C)/M); a NaN fails."""
+    m = c.shape[-1]
+    c, lam, v = c.reshape(-1, m, m), np.reshape(lam, -1), v.reshape(-1, m)
+    residual = np.linalg.norm((c @ v[:, :, None])[:, :, 0] - lam[:, None] * v, axis=1)
+    bound = EIG_RESIDUAL_TOL * np.maximum(lam, np.trace(c, axis1=1, axis2=2).real / m)
+    bad = np.flatnonzero(~(residual <= bound))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"dominant eigenpair residual {residual[k]:.3e} of block {k} "
+            f"exceeds bound {bound[k]:.3e}; value={lam[k]!r}"
+        )
 
-    Backed by a full Hermitian eigendecomposition; the contract is the
-    residual bound ``||C l - lambda l|| <= tol * max(lambda, trace(C)/M)``,
-    which is checked before returning. For a (near-)degenerate top
-    eigenvalue any unit vector of the dominant eigenspace may be returned.
-    """
-    c = _check_hermitian(c)
-    m = c.shape[0]
+
+def dominant_eigenpair(c: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit-norm eigenvector of a Hermitian PSD matrix,
+    from its own eigendecomposition (a reference for ``frontend.design_hr_max``)
+    behind the same two checks. For a (near-)degenerate top eigenvalue any
+    unit vector of the dominant eigenspace may be returned."""
+    c = _check_square(c)
+    check_hermitian(c)
     try:
         values, vectors = np.linalg.eigh(c)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
     value = float(max(values[-1], 0.0))
     vector = np.ascontiguousarray(vectors[:, -1])
-    residual = float(np.linalg.norm(c @ vector - value * vector))
-    bound = tol * max(value, float(np.trace(c).real) / m)
-    if residual > bound:
-        raise RuntimeError(
-            f"dominant eigenpair residual {residual:.3e} exceeds bound "
-            f"{bound:.3e}; best iterate value={value!r}"
-        )
-    return EigenPair(value, vector)
+    check_eigen_residual(c, value, vector)
+    return value, vector
 
 
 def posdef_inverse_apply(a: np.ndarray, bmat: np.ndarray) -> np.ndarray:

@@ -68,15 +68,14 @@ def ls_channel_estimate(y_train: np.ndarray, pilots: np.ndarray) -> np.ndarray:
     return (y_train @ pilots.conj().T) / pilots.shape[1]
 
 
-def sample_covariance(y_train: np.ndarray, k: int | None = None) -> np.ndarray:
+def sample_covariance(y_train: np.ndarray) -> np.ndarray:
     """Full B x B sample covariance (1/K) Y_T Y_T^H of the training block.
 
     The definition that ``covariance_blocks`` computes the diagonal blocks
     of; trials only need those blocks and never build this matrix.
     """
     y_train = np.asarray(y_train, dtype=complex)
-    if k is None:
-        k = y_train.shape[1]
+    k = y_train.shape[1]
     if k < 1:
         raise ValueError("sample covariance needs at least one snapshot")
     return (y_train @ y_train.conj().T) / k

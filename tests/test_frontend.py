@@ -6,7 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hdrmimo import frontend
+from hdrmimo import linalg
 from hdrmimo.frontend import (
     AgcGains,
     QuantizerModel,
@@ -172,12 +172,17 @@ class TestHrMaxDesign:
         with pytest.raises(ValueError, match="block 1 is not Hermitian"):
             design_hr_max(blocks)
 
+    def test_rejects_nan_block(self):
+        blocks = np.stack([np.eye(2), np.full((2, 2), np.nan)]).astype(complex)
+        with pytest.raises(ValueError, match="block 1 is not Hermitian"):
+            design_hr_max(blocks)
+
     def test_residual_bound_enforced(self, monkeypatch):
         # No eigensolver meets a zero residual bound on a generic block.
         rng = np.random.default_rng(14)
         a = random_complex(rng, 2, 4, 4)
         blocks = a @ a.conj().transpose(0, 2, 1)
-        monkeypatch.setattr(frontend, "EIG_RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(linalg, "EIG_RESIDUAL_TOL", 0.0)
         with pytest.raises(RuntimeError, match="residual .* of block 0"):
             design_hr_max(blocks)
 

@@ -368,6 +368,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=pattern):
             ExperimentConfig(out=out, plot_script=plot_script)
 
+    @pytest.mark.parametrize("out", ["a\nb.csv", "a\rb.csv"])
+    def test_line_break_in_out_rejected_by_name_with_a_plot_script(self, out):
+        # The script names out inside a gnuplot string, which cannot hold it.
+        with pytest.raises(ValueError, match="^out must not hold a line break"):
+            ExperimentConfig(out=out, plot_script="plot.gp")
+        assert ExperimentConfig(out=out).out == out
+
     def test_msnr_range_bounds_accepted(self):
         cfg = ExperimentConfig(msnr_start=-1000.0, msnr_stop=1000.0, msnr_step=1e-5)
         assert (cfg.msnr_start, cfg.msnr_stop, cfg.msnr_step) == (-1000.0, 1000.0, 1e-5)
@@ -734,6 +741,20 @@ class TestCsvAndPlot:
         with pytest.raises(ValueError, match=":3: expected 12 columns, got 11"):
             read_csv(str(path))
 
+    @pytest.mark.parametrize("column,cell", [("bit_errors", "x"), ("ber", "y")])
+    def test_cell_of_the_wrong_type_rejected_by_line_and_column(
+        self, tmp_path, column, cell
+    ):
+        path = tmp_path / "bad.csv"
+        write_csv(self.run_small(), str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_HEADER.split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f":3: column '{column}' needs"):
+            read_csv(str(path))
+
     def test_single_record_two_lines(self, tmp_path):
         records = self.run_small()[:1]
         path = tmp_path / "one.csv"
@@ -744,7 +765,7 @@ class TestCsvAndPlot:
         with pytest.raises(ValueError):
             write_csv([], str(tmp_path / "x.csv"))
         with pytest.raises(ValueError):
-            emit_plot_script([], str(tmp_path / "x.gp"))
+            emit_plot_script([], str(tmp_path / "x.gp"), csv_path="x.csv")
 
     def test_plot_script_references_existing_columns(self, tmp_path):
         records = self.run_small()
@@ -771,6 +792,16 @@ class TestCsvAndPlot:
         literal = re.fullmatch(r"csv = '((?:[^']|'')*)'", lines[1])
         assert literal is not None, lines[1]
         assert literal.group(1).replace("''", "'") == csv_path
+
+    @pytest.mark.parametrize("csv_path", ["a\nb.csv", "a\rb.csv"])
+    def test_plot_script_refuses_a_line_break_in_the_csv_path(
+        self, tmp_path, csv_path
+    ):
+        # A gnuplot single-quoted string cannot span lines.
+        path = tmp_path / "plot.gp"
+        with pytest.raises(ValueError, match="csv_path holds a line break"):
+            emit_plot_script(self.run_small(), str(path), csv_path=csv_path)
+        assert not path.exists()
 
 
 class TestCli:
@@ -874,6 +905,19 @@ class TestCli:
             config_from_argv(["--out", "same.csv", "--plot-script", "./same.csv"])
         assert exc.value.code == 2
         assert "plot_script must name another file than out" in capsys.readouterr().err
+
+    def test_line_break_in_out_is_a_usage_error_before_the_sweep(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(cfg):
+            raise AssertionError("run_sweep called for an unplottable out")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        argv = ["--out", "a\nb.csv", "--plot-script", str(tmp_path / "p.gp")]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "out must not hold a line break" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["out", "plot_script"])
     @pytest.mark.parametrize("where", ["missing directory", "directory"])

@@ -149,6 +149,13 @@ class TestDominantEigenpair:
         with pytest.raises(ValueError):
             dominant_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
 
+    def test_nan_rejected(self):
+        # A NaN compares false with any bound, so it must not pass the check.
+        c = np.eye(2, dtype=complex)
+        c[1, 0] = np.nan
+        with pytest.raises(ValueError, match="block 0 is not Hermitian"):
+            dominant_eigenpair(c)
+
 
 class TestPosdefInverseApply:
     def test_identity(self):

@@ -12,13 +12,20 @@ them, the covariance blocks, the reflectors and the AGC gains do not, the
 midrise quantizer is odd in each real dimension, and the detector undoes
 the turn. So the equalized symbols must stay the same, up to rounding:
 the Gram matrices of rotated data can round differently.
+
+Scale, for hr-max's input checks: the Hermitian test and the eigen-residual
+bound are relative, so a covariance stack scaled by a power of two is
+rejected or accepted as the unscaled stack is, by ``design_hr_max`` and by
+its oracle ``dominant_eigenpair`` alike, and gives the same reflectors.
 """
 
 import numpy as np
 import pytest
 
 from hdrmimo import harness
+from hdrmimo.frontend import design_hr_max
 from hdrmimo.harness import METHODS, ExperimentConfig, run_trial
+from hdrmimo.linalg import dominant_eigenpair
 
 DESK = ExperimentConfig(bs_antennas=64, ues=8, clusters=8, symbols=200, seed=23)
 MSNR_DB = (0.0, 12.0)
@@ -90,3 +97,22 @@ def test_blocks_rotated_by_j_give_the_same_symbols(monkeypatch):
     for trial, s in unrotated.items():
         gap = np.linalg.norm(rotated[trial] - s)
         assert gap <= PHASE_RTOL * np.linalg.norm(s), trial
+
+
+@pytest.mark.parametrize("exponent", [-60, -20, 0, 20, 60])
+def test_hr_max_checks_hold_at_any_covariance_scale(exponent):
+    scale = 2.0**exponent
+    skewed = scale * np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
+    with pytest.raises(ValueError, match="block 1 is not Hermitian"):
+        design_hr_max(skewed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dominant_eigenpair(skewed[1])
+
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    blocks = a @ a.conj().transpose(0, 2, 1)  # Hermitian PSD
+    unscaled = design_hr_max(blocks).vectors
+    assert np.array_equal(design_hr_max(scale * blocks).vectors, unscaled)
+    for block in blocks:
+        value, vector = dominant_eigenpair(scale * block)
+        assert value > 0 and np.isclose(np.linalg.norm(vector), 1.0)

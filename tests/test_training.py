@@ -158,7 +158,7 @@ class TestSampleCovariance:
 
     def test_invalid_snapshot_count(self):
         with pytest.raises(ValueError):
-            sample_covariance(np.ones((2, 2)), k=0)
+            sample_covariance(np.ones((2, 0)))
 
 
 class TestCovarianceBlocks:
