@@ -22,10 +22,10 @@ def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
     return np.exp(1j * np.pi * antenna * sin)
 
 
-# Entries per slice wherever a block is worked on piecewise: the floats of
-# the noise buffer, of apply_transform's coefficients and of each of its
-# row updates, and the bits run_trial draws, modulates, multiplies into the
-# received block, equalizes and slices at a time (column_slices).
+# Entries per slice wherever a block is worked on piecewise (column_slices):
+# the noise floats drawn at a time, the floats of apply_transform's rank-1
+# update, and the bits run_trial draws, modulates, multiplies into the
+# received block, equalizes and slices at a time.
 SLICE_SIZE = 1 << 16
 
 
@@ -55,8 +55,8 @@ def add_noise(y: np.ndarray, n0: float, rng: np.random.Generator) -> None:
 
     Adds scale * (a + 1j*b), scale = sqrt(n0/2), drawing all real parts a
     before all imaginary parts b, as two ``rng.standard_normal(y.shape)``
-    calls would, through one reused buffer of at most ``SLICE_SIZE``
-    floats. A negative or NaN ``n0``, or a strided ``y``, raises ValueError.
+    calls would, one slice of ``column_slices(y.size, 1)`` at a time. A
+    negative or NaN ``n0``, or a strided ``y``, raises ValueError.
     """
     # The negated test also rejects a NaN variance.
     if not n0 >= 0:
@@ -65,22 +65,19 @@ def add_noise(y: np.ndarray, n0: float, rng: np.random.Generator) -> None:
         raise ValueError("noise target must be C-contiguous")
     scale = np.sqrt(n0 / 2.0)
     flat = y.reshape(-1)
-    draws = np.empty(min(flat.size, SLICE_SIZE))
     for part in (flat.real, flat.imag):
-        for start in range(0, flat.size, SLICE_SIZE):
-            chunk = draws[: flat.size - start]
-            rng.standard_normal(out=chunk)
-            chunk *= scale
-            part[start : start + chunk.size] += chunk
+        for s in column_slices(flat.size, 1):
+            # The fresh draws on the left: numpy then scales them in place.
+            part[s] += rng.standard_normal(s.stop - s.start) * scale
 
 
 def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """I.i.d. circularly-symmetric complex Gaussian, given variance per entry.
 
-    Allocates the result and one buffer of at most ``SLICE_SIZE`` floats,
-    in which the real and then the imaginary parts are drawn slice by slice
-    and scaled by sqrt(variance/2). For a positive variance the result is bit
-    for bit ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
+    A zero array plus ``add_noise``: the real and then the imaginary parts
+    are drawn slice by slice and scaled by sqrt(variance/2). For a positive
+    variance the result is bit for bit
+    ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
     from the same draws of ``rng``. A negative or NaN variance raises
     ValueError.
     """

@@ -83,9 +83,23 @@ def count_bit_errors(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int
 
 
 def _push_through_solve(a: np.ndarray, load: float, rhs: np.ndarray) -> np.ndarray:
-    # (A^H A + load I_U)^{-1} rhs, factoring only the U x U Hermitian system.
+    # (A^H A + diag(l))^{-1} rhs, factoring only the U x U Hermitian system
+    # G, with the load l_i = max(load, f ||a_i||^2), f = 2 (U (U + 1) + 10) eps.
+    # The floor lets G pass posdef_inverse_apply's pivot test whatever A is
+    # (a zero column of A needs load > 0).
+    # Scaled to a unit diagonal (both the test and the pivots scale with
+    # a_ii), G has no eigenvalue below f / (1 + f). The computed factor R is
+    # exact for G + dG with |dG| <= (U + 1) eps |R^H| |R| (Higham, Accuracy
+    # and Stability of Numerical Algorithms, Thm 10.5), whose scaled entries
+    # are at most (U + 1) eps, so its scaled 2-norm is at most U (U + 1) eps.
+    # So each computed pivot exceeds (f - U (U + 1) eps) a_ii to first order,
+    # and the test asks for 10 eps a_ii; the factor 2 covers the rest. The
+    # floor is per user, so a strong user's power does not load a weak one.
     g = a.conj().T @ a
-    np.fill_diagonal(g, np.diagonal(g).real + load)
+    power = np.diagonal(g).real
+    u = power.size
+    floor = 2.0 * (u * (u + 1) + 10) * np.finfo(float).eps * power
+    np.fill_diagonal(g, power + np.maximum(load, floor))
     return posdef_inverse_apply(g, rhs)
 
 
@@ -130,8 +144,10 @@ def build_unquantized_lmmse(h_hat: np.ndarray, n0: float) -> np.ndarray:
     """Classical LMMSE detector W (U x B) on raw observations, in its U x U form.
 
     W = Hh^H (Hh Hh^H + N0 I_B)^{-1} = (Hh^H Hh + N0 I_U)^{-1} Hh^H, so only
-    a U x U Hermitian system is factored. With N0 = 0 this is the
-    zero-forcing detector and needs Hh to have full column rank.
+    a U x U Hermitian system is factored. Its load N0 is floored per user at
+    2 (U (U + 1) + 10) eps ||h_u||^2, which keeps the system nonsingular to
+    working precision when users are nearly collinear and N0 is tiny; with
+    N0 = 0 this is the zero-forcing detector, so regularized.
     """
     h_hat = np.asarray(h_hat, dtype=complex)
     return _push_through_solve(h_hat, n0, h_hat.conj().T)

@@ -182,11 +182,11 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     ``y`` is a C-contiguous complex128 vector or (B, n) block; anything else
     is a ValueError and left unchanged. All C clusters are reflected at once
     by the batched rank-1 update x - w v (v^H x) on the (C, S, n) view of
-    ``y``; the dense matrix is never formed. The update runs in the column
-    slices of ``channel.column_slices`` (at most ``SLICE_SIZE`` floats of
-    coefficients w v^H x each), one row of every cluster at a time, so each
-    temporary is one slice. The identity leaves ``y`` untouched; a
-    passthrough row has w = 0, so for finite input its rows keep their values.
+    ``y``; the dense matrix is never formed. The update runs as one array
+    expression per column slice of ``channel.column_slices``, each at most
+    ``SLICE_SIZE`` floats of ``y``, so each temporary is at most one slice.
+    The identity leaves ``y`` untouched; a passthrough row has w = 0, so for
+    finite input its rows keep their values.
     """
     _check_block(y)
     if y.shape[0] != transform.dim:
@@ -197,13 +197,12 @@ def apply_transform(transform: SpatialTransform, y: np.ndarray) -> np.ndarray:
     if transform.is_identity:
         return y
     v, w = transform.vectors, transform._weights
-    v_h = v.conj()[:, None, :]
     x = y.reshape(transform.clusters, transform.block_size, -1)
-    for cols in column_slices(x.shape[2], 2 * transform.clusters):
-        coef = v_h @ x[:, :, cols]
+    for cols in column_slices(x.shape[2], 2 * transform.dim):
+        x_s = x[:, :, cols]
+        coef = v.conj()[:, None, :] @ x_s
         coef *= w[:, None, None]
-        for row in range(transform.block_size):
-            x[:, row, cols] -= v[:, row, None] * coef[:, 0]
+        x_s -= v[:, :, None] * coef
     return y
 
 

@@ -43,11 +43,19 @@ def _check_square(a: np.ndarray) -> np.ndarray:
 def check_hermitian(c: np.ndarray) -> None:
     """ValueError unless each block of the (..., M, M) stack ``c`` meets
     ||C - C^H|| <= HERMITIAN_RTOL ||C|| (Frobenius): scale-free; a zero block
-    passes and a NaN fails. Blocks count over the flattened stack, from 0."""
+    passes and a block with an inf or NaN entry fails. Blocks count over the
+    flattened stack, from 0."""
     c = c.reshape(-1, *c.shape[-2:])
+    finite = np.isfinite(c).all(axis=(1, 2))
+    # Each finite block over its largest magnitude, so that the squares in
+    # the norms neither underflow nor overflow; an exactly Hermitian block
+    # stays exactly Hermitian.
+    c = np.where(finite[:, None, None], c, 0.0)
+    peak = np.abs(c).max(axis=(1, 2), initial=0.0)
+    c /= np.where(peak > 0.0, peak, 1.0)[:, None, None]
     skew = np.linalg.norm(c - c.conj().transpose(0, 2, 1), axis=(1, 2))
     scale = np.linalg.norm(c, axis=(1, 2))
-    bad = np.flatnonzero(~(skew <= HERMITIAN_RTOL * scale))
+    bad = np.flatnonzero(~finite | ~(skew <= HERMITIAN_RTOL * scale))
     if bad.size:
         raise ValueError(f"block {bad[0]} is not Hermitian within tolerance")
 

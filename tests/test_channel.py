@@ -271,9 +271,9 @@ class TestObserve:
             observe(np.ones((4, 2)), np.ones(3), 0.0, np.random.default_rng(0))
 
     def test_wide_block_allocates_output_and_one_noise_slice(self):
-        # The product h @ s plus the reused float buffer of the noise draws,
-        # channel.SLICE_SIZE floats (0.026 of this output); the rest of 10% of an
-        # output is slack (measured: 1.026).
+        # The product h @ s plus one slice of noise draws, scaled in place,
+        # channel.SLICE_SIZE floats (0.026 of this output); the rest of 10%
+        # of an output is slack (measured: 1.026).
         rng = np.random.default_rng(10)
         h = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
         s = (rng.standard_normal((20000, 8)) + 1j).T

@@ -123,8 +123,11 @@ def reference_build_lmmse(h_hat, transform, gains, quant, n0):
 
 
 def reference_build_unquantized_lmmse(h_hat, n0):
+    # The load N0, floored per user at 2 (U (U + 1) + 10) eps ||h_u||^2.
     gram = h_hat.conj().T @ h_hat
-    np.fill_diagonal(gram, np.diagonal(gram).real + n0)
+    u, power = gram.shape[0], np.diagonal(gram).real
+    floor = 2.0 * (u * (u + 1) + 10) * np.finfo(float).eps * power
+    np.fill_diagonal(gram, power + np.maximum(n0, floor))
     return posdef_inverse_apply(gram, h_hat.conj().T)
 
 
@@ -478,8 +481,8 @@ class TestColumnSlices:
         # Each product a trial takes slice by slice, over the slices it
         # takes it in, with one BLAS thread (the suite's setting): h @ s and
         # w @ y over the bit slices, and the reflection coefficients v^H x
-        # over the transform's. At U = C = 6 the slices are 2048 and 4096
-        # columns wide, not 2730 and 5461.
+        # over the transform's. At U = 6 and B = 48 the slices are 2048 and
+        # 512 columns wide, not 2730 and 682.
         rng = np.random.default_rng(36)
         n = 2 * channel.column_slices(10**6, 4 * u)[0].stop + remainder
         h = random_complex(rng, b, u)
@@ -488,10 +491,10 @@ class TestColumnSlices:
         for rows in channel.column_slices(n, 4 * u):
             assert_same_floats(h @ s[:, rows], (h @ s)[:, rows])
             assert_same_floats(w @ y[:, rows], (w @ y)[:, rows])
-        n = 2 * channel.column_slices(10**6, 2 * c)[0].stop + remainder
+        n = 2 * channel.column_slices(10**6, 2 * b)[0].stop + remainder
         v_h = random_complex(rng, c, 1, b // c)
         x = random_complex(rng, b, n).reshape(c, b // c, n)
-        for cols in channel.column_slices(n, 2 * c):
+        for cols in channel.column_slices(n, 2 * b):
             assert_same_floats(v_h @ x[:, :, cols], (v_h @ x)[:, :, cols])
 
 
@@ -514,7 +517,7 @@ def trial_cfg(**kwargs):
             bs_antennas=16, ues=4, clusters=4, symbols=2 * channel.SLICE_SIZE // 16 + 3
         ),
         # A 1-row tail, which joins the bit slice before it; the transform's
-        # slices (8192 columns at C = 4) leave a 1-column tail too.
+        # slices (2048 columns at B = 16) leave a 1-column tail too.
         trial_cfg(
             bs_antennas=16, ues=4, clusters=4, symbols=2 * channel.SLICE_SIZE // 16 + 1
         ),

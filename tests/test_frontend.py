@@ -483,9 +483,10 @@ class TestDataPathMemory:
         assert self.peak_in_blocks(lambda: apply_transform(t, y), y) < 0.01
 
     def test_apply_in_place_allocates_coefficients_and_one_slice(self):
-        # One column slice of coefficients and one row update of that slice,
-        # SLICE_SIZE floats each (measured: 0.058 blocks; 0.164 when all
-        # (C, 1, n) coefficients, 1/S of a block, were held at once).
+        # One column slice's rank-1 update v (w v^H x), at most SLICE_SIZE
+        # floats, and the slice's smaller temporaries, its coefficients among
+        # them (measured: 0.042 blocks; 0.164 when all (C, 1, n)
+        # coefficients, 1/S of a block, were held at once).
         rng = np.random.default_rng(19)
         y = random_complex(rng, 64, 20000)
         t = design_hr_iso(random_complex(rng, 64), 8)

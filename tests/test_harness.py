@@ -6,7 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -432,6 +432,32 @@ class TestRunTrial:
                     errors, bits = run_trial(cfg, method, msnr_db, r)
                     assert 0 <= errors <= bits == cfg.symbols * 4 * cfg.ues
 
+    @pytest.mark.parametrize(
+        "sector, msnr_db", [(0.0, 150.0), (0.0, 1000.0), (0.5, 160.0)]
+    )
+    def test_every_method_runs_with_nearly_collinear_users(self, sector, msnr_db):
+        # At a 0-degree sector every path arrives at broadside, so all users
+        # share one steering vector. perfect's U x U system was singular to
+        # working precision in 10 of 10 realizations at 0 degrees and in 3
+        # of 10 at 0.5 degrees and 160 dB, before its load was floored.
+        cfg = smoke_cfg(angle_sector_deg=sector, msnr_start=msnr_db,
+                        msnr_stop=msnr_db, realizations=10, symbols=10)
+        for method in METHODS:
+            for r in range(cfg.realizations):
+                errors, bits = run_trial(cfg, method, msnr_db, r)
+                assert 0 <= errors <= bits == 10 * 4 * cfg.ues
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cfg=experiment_configs())
+    def test_every_parsed_config_runs_every_method(self, cfg):
+        # Whatever the parser accepts runs: every method at both ends of
+        # the MSNR range, with RuntimeWarning an error (the suite's setting).
+        cfg = replace(cfg, symbols=min(cfg.symbols, 7))
+        for method in METHODS:
+            for msnr_db in (cfg.msnr_start, cfg.msnr_stop):
+                errors, bits = run_trial(cfg, method, msnr_db, 0)
+                assert 0 <= errors <= bits == cfg.symbols * 4 * cfg.ues
+
     def test_every_method_runs_at_a_zero_power_control_window(self):
         cfg = smoke_cfg(dr_limit_db=0.0, realizations=1)
         for method in METHODS:
@@ -547,9 +573,9 @@ class TestRunTrial:
         # The received block is the trial's one block-sized array: the
         # symbols go straight into its columns, the reflection coefficients
         # and the soft symbols are one slice at a time. Beside it, the bits
-        # (1/32 block) and slices: 1.083 blocks measured for perfect, wsu
-        # and none, 1.091 for hr-iso and hr-max (1.18-1.20 with whole (n, U)
-        # symbol and soft-symbol arrays and (C, 1, n) coefficients).
+        # (1/32 block) and slices: 1.083 blocks measured for every method
+        # (1.18-1.20 with whole (n, U) symbol and soft-symbol arrays and
+        # (C, 1, n) coefficients).
         cfg = smoke_cfg(realizations=1, symbols=20000)
         block = 64 * 20000 * np.dtype(complex).itemsize
         for method in METHODS:

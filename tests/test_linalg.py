@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hdrmimo.linalg import (
+    check_hermitian,
     dominant_eigenpair,
     householder_apply,
     posdef_inverse_apply,
@@ -155,6 +156,16 @@ class TestDominantEigenpair:
         c[1, 0] = np.nan
         with pytest.raises(ValueError, match="block 0 is not Hermitian"):
             dominant_eigenpair(c)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.inf), np.nan])
+    def test_non_finite_entry_rejected_as_not_hermitian(self, entry):
+        # An inf is caught before the norms, where inf - inf would warn.
+        c = np.eye(2, dtype=complex)
+        c[0, 0] = entry
+        with pytest.raises(ValueError, match="block 0 is not Hermitian"):
+            dominant_eigenpair(c)
+        with pytest.raises(ValueError, match="block 1 is not Hermitian"):
+            check_hermitian(np.stack([np.eye(2, dtype=complex), c]))
 
 
 class TestPosdefInverseApply:

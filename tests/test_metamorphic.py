@@ -17,6 +17,8 @@ Scale, for hr-max's input checks: the Hermitian test and the eigen-residual
 bound are relative, so a covariance stack scaled by a power of two is
 rejected or accepted as the unscaled stack is, by ``design_hr_max`` and by
 its oracle ``dominant_eigenpair`` alike, and gives the same reflectors.
+The Hermitian test divides each block by its largest magnitude first, so
+it rejects a skewed stack also where the squared entries underflow.
 """
 
 import numpy as np
@@ -116,3 +118,15 @@ def test_hr_max_checks_hold_at_any_covariance_scale(exponent):
     for block in blocks:
         value, vector = dominant_eigenpair(scale * block)
         assert value > 0 and np.isclose(np.linalg.norm(vector), 1.0)
+
+
+def test_hermitian_check_holds_where_the_squared_entries_underflow():
+    # At 2^-540 every squared entry underflows to 0, so unscaled Frobenius
+    # norms would read ||C - C^H|| = ||C|| = 0 and pass the skewed block.
+    scale = 2.0**-540
+    skewed = scale * np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
+    with pytest.raises(ValueError, match="block 1 is not Hermitian"):
+        design_hr_max(skewed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dominant_eigenpair(skewed[1])
+    design_hr_max(scale * np.array([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]]))
