@@ -53,7 +53,6 @@ from .training import (
     generate_pilots,
     ls_channel_estimate,
     simulate_training,
-    strongest_ue_index,
 )
 
 __version__ = "0.1.0"

@@ -133,16 +133,6 @@ def apply_power_control(
     return np.sqrt(np.minimum(1.0, limit * p_min / powers))
 
 
-def set_strong_ue_gain(
-    g_strong: np.ndarray, weakest_power: float, rho_db: float
-) -> float:
-    """Gain that puts the strong user exactly ``rho_db`` above ``weakest_power``."""
-    p_strong = float(np.sum(np.abs(g_strong) ** 2))
-    if p_strong == 0.0:
-        raise ValueError("strong user's channel column has zero norm")
-    return float(np.sqrt(10.0 ** (rho_db / 10.0) * weakest_power / p_strong))
-
-
 def realize_channel(
     cfg: ExperimentConfig,
     rng: np.random.Generator,
@@ -178,7 +168,13 @@ def realize_channel(
         rest = np.delete(np.arange(u), strong)
         gains[rest] = apply_power_control(g, cfg.dr_limit_db, rest)
         weakest = float(np.min(gains[rest] ** 2 * col_powers[rest]))
-        gains[strong] = set_strong_ue_gain(g[:, strong], weakest, cfg.rho_db)
+        # The strong column's own 1-D sum, not col_powers[strong]: numpy
+        # rounds the two reductions differently, and the strong column's last
+        # bits, which the CSV bytes are computed from, follow this one. It is
+        # positive: power control refuses a zero column among the rest, and
+        # the strong column is the largest.
+        p_strong = float(np.sum(np.abs(g[:, strong]) ** 2))
+        gains[strong] = np.sqrt(10.0 ** (cfg.rho_db / 10.0) * weakest / p_strong)
     h = g * gains[None, :]
     order = np.argsort(-np.sum(np.abs(h) ** 2, axis=0), kind="stable")
     return h[:, order]

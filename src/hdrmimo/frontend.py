@@ -114,12 +114,6 @@ def identity_transform(dim: int, clusters: int) -> SpatialTransform:
     return SpatialTransform(split_clusters(np.zeros(dim, complex), clusters))
 
 
-def _unit_phase(a: np.ndarray) -> np.ndarray:
-    # Elementwise complex sign a/|a|, with sign(0) = 1.
-    mag = np.abs(a)
-    return np.divide(a, mag, out=np.ones_like(a), where=mag > 0)
-
-
 def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
     """Per-cluster reflectors that focus the strong user onto output 1.
 
@@ -130,7 +124,10 @@ def design_hr_iso(h_strong: np.ndarray, clusters: int) -> SpatialTransform:
     h_strong = np.asarray(h_strong, dtype=complex).reshape(-1)
     v = split_clusters(h_strong, clusters).copy()
     nrm = np.linalg.norm(v, axis=1)
-    v[:, 0] += nrm * _unit_phase(v[:, 0])
+    # sign(a_1) = a_1/|a_1|, with sign(0) = 1.
+    lead = v[:, 0]
+    mag = np.abs(lead)
+    v[:, 0] += nrm * np.divide(lead, mag, out=np.ones_like(lead), where=mag > 0)
     v[nrm == 0.0] = 0.0
     return SpatialTransform(v)
 

@@ -44,7 +44,10 @@ def check_hermitian(c: np.ndarray) -> None:
     """ValueError unless each block of the (..., M, M) stack ``c`` meets
     ||C - C^H|| <= HERMITIAN_RTOL ||C|| (Frobenius): scale-free; a zero block
     passes and a block with an inf or NaN entry fails. Blocks count over the
-    flattened stack, from 0."""
+    flattened stack, from 0; a stack of empty blocks is a ValueError, a
+    stack of no blocks passes."""
+    if 0 in c.shape[-2:]:
+        raise ValueError(f"the blocks of a stack of shape {c.shape} are empty")
     c = c.reshape(-1, *c.shape[-2:])
     finite = np.isfinite(c).all(axis=(1, 2))
     # Each finite block over its largest magnitude, so that the squares in

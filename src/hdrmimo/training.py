@@ -95,18 +95,15 @@ def covariance_blocks(y_train: np.ndarray, clusters: int) -> np.ndarray:
     return (y_c @ y_c.conj().transpose(0, 2, 1)) / k
 
 
-def strongest_ue_index(h_hat: np.ndarray) -> int:
-    """Column with the largest estimated norm; ties go to the lowest index."""
-    return int(np.argmax(np.sum(np.abs(h_hat) ** 2, axis=0)))
-
-
 def estimate_from_training(
     y_train: np.ndarray, pilots: np.ndarray, clusters: int
 ) -> TrainingOutput:
-    """LS estimate, per-cluster covariance blocks, and strongest-user pick."""
+    """LS estimate, per-cluster covariance blocks, and strongest-user pick:
+    the column of the estimate with the largest norm, ties going to the
+    lowest index."""
     h_hat = ls_channel_estimate(y_train, pilots)
     return TrainingOutput(
         h_hat=h_hat,
         c_y_blocks=covariance_blocks(y_train, clusters),
-        strong_index=strongest_ue_index(h_hat),
+        strong_index=int(np.argmax(np.sum(np.abs(h_hat) ** 2, axis=0))),
     )

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hdrmimo import channel
 from hdrmimo.channel import (
     apply_power_control,
     complex_noise,
@@ -10,7 +11,6 @@ from hdrmimo.channel import (
     noise_variance_from_msnr,
     observe,
     realize_channel,
-    set_strong_ue_gain,
     steering_vector,
 )
 from hdrmimo.harness import ExperimentConfig
@@ -122,26 +122,40 @@ class TestPowerControl:
 
 
 class TestStrongUeGain:
+    """The strong user's boost, through realize_channel: the strongest
+    column lands exactly rho_db above the weakest, over 20 seeds."""
+
+    @staticmethod
+    def assert_dynamic_range(rho_db, dr_limit_db):
+        cfg = small_cfg(rho_db=rho_db, dr_limit_db=dr_limit_db)
+        for seed in range(20):
+            h = realize_channel(cfg, np.random.default_rng(seed))
+            powers = np.sum(np.abs(h) ** 2, axis=0)
+            # Worst measured 2.9e-15 dB.
+            assert abs(10.0 * np.log10(powers[0] / powers[-1]) - rho_db) <= 1e-9
+
     def test_inverts_dynamic_range(self):
-        g1 = np.zeros(4)
-        g1[0] = 1.0  # unit power column
-        assert np.isclose(set_strong_ue_gain(g1, 1.0, 30.0), np.sqrt(1000.0))
+        self.assert_dynamic_range(30.0, 6.0)
 
     def test_zero_dynamic_range(self):
-        g1 = np.array([1.0, 0.0])
-        assert np.isclose(set_strong_ue_gain(g1, 1.0, 0.0), 1.0)
+        # Every user ties with the weakest.
+        self.assert_dynamic_range(0.0, 0.0)
 
     def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        g1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        weakest = 0.37
-        d1 = set_strong_ue_gain(g1, weakest, 17.5)
-        back = 10.0 * np.log10(d1**2 * np.sum(np.abs(g1) ** 2) / weakest)
-        assert np.isclose(back, 17.5, atol=1e-9)
+        # The boost equals the control ceiling: the strong user sits at the
+        # top of the others' spread.
+        self.assert_dynamic_range(6.0, 6.0)
 
-    def test_zero_column_rejected(self):
-        with pytest.raises(ValueError):
-            set_strong_ue_gain(np.zeros(3), 1.0, 30.0)
+    def test_zero_column_rejected(self, monkeypatch):
+        # An all-zero channel is refused by the power control of the rest,
+        # before the strong user's zero power is divided by.
+        monkeypatch.setattr(
+            channel,
+            "generate_channel",
+            lambda cfg, rng: np.zeros((cfg.bs_antennas, cfg.ues), complex),
+        )
+        with pytest.raises(ValueError, match="zero-norm channel column"):
+            realize_channel(small_cfg(), np.random.default_rng(0))
 
 
 class TestRealizeChannel:

@@ -5,6 +5,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hdrmimo.frontend import design_hr_max
 from hdrmimo.linalg import (
     check_hermitian,
     dominant_eigenpair,
@@ -166,6 +167,17 @@ class TestDominantEigenpair:
             dominant_eigenpair(c)
         with pytest.raises(ValueError, match="block 1 is not Hermitian"):
             check_hermitian(np.stack([np.eye(2, dtype=complex), c]))
+
+    def test_empty_blocks_rejected(self):
+        # Caught before the (-1, 0, 0) reshape, which numpy cannot resolve.
+        with pytest.raises(ValueError, match="blocks of a stack of shape .* are empty"):
+            check_hermitian(np.zeros((2, 0, 0)))
+        with pytest.raises(ValueError, match="are empty"):
+            dominant_eigenpair(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="are empty"):
+            design_hr_max(np.zeros((2, 0, 0)))
+        # A stack of no blocks has nothing to check.
+        check_hermitian(np.zeros((0, 2, 2)))
 
 
 class TestPosdefInverseApply:

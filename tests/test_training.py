@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hdrmimo.channel import noise_variance_from_msnr, realize_channel
+from hdrmimo.channel import noise_variance_from_msnr, observe, realize_channel
 from hdrmimo.harness import ExperimentConfig
 from hdrmimo.training import (
     covariance_blocks,
@@ -11,7 +11,6 @@ from hdrmimo.training import (
     ls_channel_estimate,
     sample_covariance,
     simulate_training,
-    strongest_ue_index,
 )
 from oracles import diagonal_blocks
 
@@ -189,13 +188,23 @@ class TestCovarianceBlocks:
 
 
 class TestStrongestUeIndex:
+    """The strongest-user pick of estimate_from_training, on noiseless
+    training blocks of integer channels, where the LS estimate is exact."""
+
+    @staticmethod
+    def strong_index(h):
+        pilots = generate_pilots(h.shape[1])
+        y = observe(h, pilots, 0.0, np.random.default_rng(0))
+        est = estimate_from_training(y, pilots, 1)
+        assert np.array_equal(est.h_hat, h)
+        return est.strong_index
+
     def test_clear_winner(self):
-        h = np.diag([5.0, 1.0, 1.0])
-        assert strongest_ue_index(h) == 0
+        assert self.strong_index(np.diag([1.0, 1.0, 5.0])) == 2
 
     def test_tie_breaks_low(self):
-        h = np.diag([2.0, 2.0])
-        assert strongest_ue_index(h) == 0
+        assert self.strong_index(np.diag([2.0, 2.0])) == 0
+        assert self.strong_index(np.diag([1.0, 2.0, 2.0])) == 1
 
     def test_detection_rate_at_high_dynamic_range(self):
         # With the strong user 30 dB above the rest and K = U pilots, the
@@ -222,7 +231,7 @@ class TestEstimateFromTraining:
         y = simulate_training(h, pilots, 0.1, rng)
         est = estimate_from_training(y, pilots, 2)
         assert np.array_equal(est.h_hat, ls_channel_estimate(y, pilots))
-        assert est.strong_index == strongest_ue_index(est.h_hat)
+        assert est.strong_index == np.argmax(np.linalg.norm(est.h_hat, axis=0))
         assert np.array_equal(est.c_y_blocks, covariance_blocks(y, 2))
         c = sample_covariance(y)
         scale = np.abs(c).max()
