@@ -459,10 +459,13 @@ class TestRunTrial:
                 assert 0 <= errors <= bits == cfg.symbols * 4 * cfg.ues
 
     def test_every_method_runs_at_a_zero_power_control_window(self):
-        cfg = smoke_cfg(dr_limit_db=0.0, realizations=1)
-        for method in METHODS:
-            errors, bits = run_trial(cfg, method, 10.0, 0)
-            assert 0 <= errors <= bits == cfg.symbols * 4 * cfg.ues
+        # At rho_db = 0 too every user ties with the weakest, and the strong
+        # user's boost 10^(rho/10) is exactly 1.
+        for rho_db in (30.0, 0.0):
+            cfg = smoke_cfg(rho_db=rho_db, dr_limit_db=0.0, realizations=1)
+            for method in METHODS:
+                errors, bits = run_trial(cfg, method, 10.0, 0)
+                assert 0 <= errors <= bits == cfg.symbols * 4 * cfg.ues
 
     def test_deterministic(self):
         cfg = smoke_cfg()
@@ -724,6 +727,23 @@ class TestRunSweep:
         write_csv(run_sweep(ExperimentConfig(**base, threads=1)), str(serial))
         write_csv(run_sweep(ExperimentConfig(**base, threads=4)), str(parallel))
         assert serial.read_bytes() == parallel.read_bytes()
+
+        # Every method at one point, on 1 and on 2 worker threads: 8,195
+        # symbols of 16 bits span two whole bit slices of 2^16 bits and a
+        # tail; 8,193 symbols leave a 1-symbol tail that joins the slice
+        # before it; the paper's 256/32/32 runs each thread's malloc arena
+        # under the thresholds the sweep pins.
+        for geometry in (
+            dict(bs_antennas=16, ues=4, clusters=4, symbols=8195),
+            dict(bs_antennas=16, ues=4, clusters=4, symbols=8193),
+            dict(bs_antennas=256, ues=32, clusters=32),
+        ):
+            cfg = ExperimentConfig(
+                **geometry, msnr_start=10.0, msnr_stop=10.0, realizations=1
+            )
+            write_csv(run_sweep(cfg), str(serial))
+            write_csv(run_sweep(replace(cfg, threads=2)), str(parallel))
+            assert serial.read_bytes() == parallel.read_bytes(), geometry
 
 
 class TestCsvAndPlot:
@@ -1004,18 +1024,20 @@ class TestStartupImports:
         # tabulated, and the solves and pilots use numpy. A fresh
         # interpreter blocks scipy before the package loads, so any import
         # of it, at load time or inside a sweep, is an ImportError; then
-        # every module of the package is imported.
+        # every module of the package is imported. The sweep writes the
+        # bytes that it writes here, where scipy is importable.
+        argv = [
+            "--bs-antennas", "16", "--ues", "4", "--clusters", "4",
+            "--msnr-start", "10", "--msnr-stop", "10", "--realizations", "1",
+            "--symbols", "10",
+        ]
         src = str(Path(cli.__file__).resolve().parents[1])
         code = f"""
 import importlib, pkgutil, sys
 sys.modules["scipy"] = None
 import hdrmimo, hdrmimo.cli
 
-hdrmimo.cli.main([
-    "--bs-antennas", "16", "--ues", "4", "--clusters", "4",
-    "--msnr-start", "10", "--msnr-stop", "10", "--realizations", "1",
-    "--symbols", "10", "--out", {str(tmp_path / "sweep.csv")!r},
-])
+hdrmimo.cli.main({argv!r} + ["--out", {str(tmp_path / "sweep.csv")!r}])
 for info in pkgutil.iter_modules(hdrmimo.__path__, "hdrmimo."):
     importlib.import_module(info.name)
 """
@@ -1029,7 +1051,10 @@ for info in pkgutil.iter_modules(hdrmimo.__path__, "hdrmimo."):
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "sweep.csv").exists()
+        cli_main(argv + ["--out", str(tmp_path / "with_scipy.csv")])
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            tmp_path / "with_scipy.csv"
+        ).read_bytes()
 
     def test_one_thread_sweep_loads_no_masked_arrays_or_thread_pool(self, tmp_path):
         # The noise level takes its median without np.median's NaN check,
