@@ -1,5 +1,5 @@
-"""Experiment orchestration: the sweep config, method pipelines, seeded
-Monte Carlo sweeps, config parsing, CSV output, and plot-script emission."""
+"""Experiment orchestration: the sweep config, a trial's stages (draws,
+receiver, detection), seeded Monte Carlo sweeps, config and CSV I/O, plots."""
 
 from __future__ import annotations
 
@@ -273,25 +273,11 @@ def trial_rng(
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def run_trial(
-    cfg: ExperimentConfig,
-    method: str,
-    msnr_db: float,
-    realization_index: int,
-) -> tuple[int, int]:
-    """One channel realization of one method at one MSNR point.
-
-    Makes every random draw first (channel with power control, training
-    noise, data bits, data noise), then runs the receiver on them:
-    estimation, transform design, AGC/quantizer setup, equalizer build, and
-    the data path. Returns (bit_errors, total_bits) and is fully
-    deterministic given (cfg.seed, method, msnr_db, realization_index).
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method '{method}'")
-    rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
-
-    # The draws, in stream order; nothing after them uses the stream.
+def draw_trial(cfg: ExperimentConfig, method: str, msnr_db: float, r: int) -> tuple:
+    """Every random draw of trial ``r``, in stream order: the channel (with
+    power control), the training noise, the data bits and the data noise.
+    Returns ``(h, n0, pilots, y_train, tx_bits, y)``."""
+    rng = trial_rng(cfg.seed, method, msnr_db, r)
     h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
     n0 = noise_variance_from_msnr(h, msnr_db)
     pilots = generate_pilots(cfg.ues)
@@ -301,48 +287,91 @@ def run_trial(
     # draws the same stream as one call, and each slice's product h @ s is
     # written into its columns of y; then the noise is added in place. Only
     # one byte per bit is kept.
-    slices = column_slices(cfg.symbols, 4 * cfg.ues)
     tx_bits = np.empty((cfg.symbols, 4 * cfg.ues), dtype=np.uint8)
     y = np.empty((cfg.bs_antennas, cfg.symbols), dtype=complex)
-    for rows in slices:
+    for rows in column_slices(*tx_bits.shape):
         draw = rng.integers(0, 2, size=tx_bits[rows].shape)
         np.matmul(h, modulate(draw).reshape(-1, cfg.ues).T, out=y[:, rows])
         tx_bits[rows] = draw
     del draw
     add_noise(y, n0, rng)
+    return h, n0, pilots, y_train, tx_bits, y
 
-    est = estimate_from_training(y_train, pilots, cfg.clusters)
-    # The transform and the ADC write over y in place.
+
+@dataclass(frozen=True)
+class Receiver:
+    """One method's receiver: the (U, B) detector ``w`` and, for a quantized
+    method, the ``SpatialTransform``, ``AgcGains`` and ``QuantizerModel`` in
+    front of it (None for ``perfect``)."""
+
+    w: np.ndarray
+    transform: object = None
+    gains: object = None
+    quant: object = None
+
+
+def build_receiver(cfg: ExperimentConfig, method: str, est, n0: float) -> Receiver:
+    """The receiver of ``method`` from the training estimate ``est``: apart
+    from ``wsu``'s power control, the one place that branches on the method."""
     if method == "perfect":
-        w = build_unquantized_lmmse(est.h_hat, n0)
-    else:
-        if method == "hr-iso":
-            transform = design_hr_iso(est.h_hat[:, est.strong_index], cfg.clusters)
-        elif method == "hr-max":
-            transform = design_hr_max(est.c_y_blocks)
-        else:  # wsu, none
-            transform = identity_transform(cfg.bs_antennas, cfg.clusters)
-        quant = design_quantizer(cfg.q_bits)
-        gains = compute_agc(est.c_y_blocks, transform)
-        w = build_lmmse(est.h_hat, transform, gains, quant, n0)
+        return Receiver(build_unquantized_lmmse(est.h_hat, n0))
+    if method == "hr-iso":
+        transform = design_hr_iso(est.h_hat[:, est.strong_index], cfg.clusters)
+    elif method == "hr-max":
+        transform = design_hr_max(est.c_y_blocks)
+    else:  # wsu, none
+        transform = identity_transform(cfg.bs_antennas, cfg.clusters)
+    quant = design_quantizer(cfg.q_bits)
+    gains = compute_agc(est.c_y_blocks, transform)
+    w = build_lmmse(est.h_hat, transform, gains, quant, n0)
+    return Receiver(w, transform, gains, quant)
+
+
+def detect(receiver: Receiver, y: np.ndarray, tx_bits: np.ndarray, slices) -> int:
+    """The bit errors of ``receiver`` on the data block ``y``. The transform
+    (a RuntimeError if it does not keep the energy) and the ADC write over
+    ``y``; then it is equalized and sliced a slice of ``y`` columns at a time."""
+    if receiver.transform is not None:
         # Sampled unitarity check: the transform must conserve energy.
         n_in = float(np.linalg.norm(y[:, 0]))
-        y = apply_transform(transform, y)
+        y = apply_transform(receiver.transform, y)
         n_out = float(np.linalg.norm(y[:, 0]))
         if abs(n_out - n_in) > 1e-12 * n_in:
             raise RuntimeError(
                 f"spatial transform broke energy conservation: "
                 f"||Fy|| = {n_out!r} vs ||y|| = {n_in!r}"
             )
-        y = adc(y, gains, quant)
-
-    # Equalized and sliced a slice at a time: the (U, cols) soft symbols,
-    # transposed, list the symbols in tx_bits order.
+        y = adc(y, receiver.gains, receiver.quant)
+    # The (U, cols) soft symbols, transposed, list the symbols in tx_bits order.
     errors = 0
     for rows in slices:
-        s_hat = equalize(w, y[:, rows])
+        s_hat = equalize(receiver.w, y[:, rows])
         errors += count_bit_errors(tx_bits[rows], hard_slice(s_hat.T))[0]
-    return errors, tx_bits.size
+    return errors
+
+
+def run_trial(
+    cfg: ExperimentConfig,
+    method: str,
+    msnr_db: float,
+    realization_index: int,
+) -> tuple[int, int]:
+    """One channel realization of one method at one MSNR point.
+
+    Makes every random draw first (``draw_trial``), then runs the receiver
+    on them: the training estimate, ``build_receiver`` and ``detect``.
+    Returns (bit_errors, total_bits) and is fully deterministic given
+    (cfg.seed, method, msnr_db, realization_index).
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method '{method}'")
+    _, n0, pilots, y_train, tx_bits, y = draw_trial(
+        cfg, method, msnr_db, realization_index
+    )
+    est = estimate_from_training(y_train, pilots, cfg.clusters)
+    receiver = build_receiver(cfg, method, est, n0)
+    slices = column_slices(*tx_bits.shape)
+    return detect(receiver, y, tx_bits, slices), tx_bits.size
 
 
 # mallopt parameter numbers from glibc's <malloc.h>.

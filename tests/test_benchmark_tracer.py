@@ -79,3 +79,40 @@ def test_traced_sweep_nests_observe_under_training(tracer, tmp_path):
     assert sorted(span.parent for span in spans["channel.observe"]) == sorted(
         span.id for span in training
     )
+
+    # Every call of a trial's stages goes through a name the tracer binds:
+    # one trial per method, four of them quantized. build_lmmse applies the
+    # transform to the estimate, so apply_transform runs twice a quantized
+    # trial, and design_hr_max builds its reflectors with design_hr_iso.
+    counts = {name: len(found) for name, found in spans.items()}
+    assert counts == {
+        "cli.main": 1,
+        "harness.run_sweep": 1,
+        "harness.run_trial": 5,
+        "channel.realize_channel": 5,
+        "channel.noise_variance_from_msnr": 5,
+        "channel.observe": 5,
+        "training.generate_pilots": 5,
+        "training.simulate_training": 5,
+        "training.estimate_from_training": 5,
+        "training.ls_channel_estimate": 5,
+        "equalizer.modulate": 5,
+        "equalizer.build_unquantized_lmmse": 1,
+        "frontend.design_hr_iso": 2,
+        "frontend.design_hr_max": 1,
+        "frontend.identity_transform": 2,
+        "frontend.design_quantizer": 4,
+        "frontend.compute_agc": 4,
+        "equalizer.build_lmmse": 4,
+        "linalg.posdef_inverse_apply": 5,
+        "frontend.apply_transform": 8,
+        "frontend.adc": 4,
+        "equalizer.equalize": 5,
+        "equalizer.hard_slice": 5,
+        "equalizer.count_bit_errors": 5,
+    }
+    for name in (
+        "linalg.householder_apply", "linalg.dominant_eigenpair",
+        "training.sample_covariance",
+    ):
+        assert counts.get(name, 0) == 0, name

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdrmimo import cli, harness, linalg
+from hdrmimo.channel import column_slices
 from hdrmimo.cli import build_parser, config_from_argv
 from hdrmimo.cli import main as cli_main
 from hdrmimo.harness import (
@@ -23,6 +24,9 @@ from hdrmimo.harness import (
     METHODS,
     ExperimentConfig,
     ResultRecord,
+    build_receiver,
+    detect,
+    draw_trial,
     emit_plot_script,
     load_config_file,
     parse_config,
@@ -32,7 +36,7 @@ from hdrmimo.harness import (
     trial_rng,
     write_csv,
 )
-from hdrmimo.training import generate_pilots
+from hdrmimo.training import estimate_from_training, generate_pilots
 
 
 def smoke_cfg(**kwargs):
@@ -531,8 +535,23 @@ class TestRunTrial:
         assert iso_total[0] == pytest.approx(785, rel=0.10)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method 'zf'"):
             run_trial(smoke_cfg(), "zf", 10.0, 0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stages_give_the_trial_count(self, method):
+        cfg = smoke_cfg()
+        _, n0, pilots, y_train, tx_bits, y = draw_trial(cfg, method, 10.0, 3)
+        receiver = build_receiver(
+            cfg, method, estimate_from_training(y_train, pilots, cfg.clusters), n0
+        )
+        received = y.copy()
+        errors = detect(receiver, y, tx_bits, column_slices(*tx_bits.shape))
+        assert (errors, tx_bits.size) == run_trial(cfg, method, 10.0, 3)
+        # The transform and the ADC write over y: a caller that runs several
+        # receivers on one draw, as one draw per cell or per realization
+        # would, must hand each receiver its own copy of y.
+        assert np.array_equal(y, received) == (method == "perfect")
 
     def test_no_antenna_by_antenna_matrix(self):
         # With B = 512 antennas, 4 users and one symbol every array a trial
