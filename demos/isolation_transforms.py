@@ -42,11 +42,8 @@ h1 = h[:, 0]
 print("\nstrong-user energy fraction on each cluster's first output:")
 for name, t in (("no transform", None), ("channel-based", iso), ("covariance-based", hmax)):
     ht = h1 if t is None else apply_transform(t, h1.copy())
-    first = np.array([abs(ht[c * s]) ** 2 for c in range(cfg.clusters)])
-    cluster_tot = np.array(
-        [np.sum(np.abs(ht[c * s : (c + 1) * s]) ** 2) for c in range(cfg.clusters)]
-    )
-    frac = first / cluster_tot
+    e = np.abs(ht.reshape(cfg.clusters, s)) ** 2  # (C, S) per-cluster energies
+    frac = e[:, 0] / e.sum(axis=1)
     print(f"  {name:17s} min {frac.min():.4f}  mean {frac.mean():.4f}")
 
 # The reflector built from a vector a sends all of a's energy to output 1.

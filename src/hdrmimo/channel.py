@@ -11,21 +11,10 @@ if TYPE_CHECKING:
     from .harness import ExperimentConfig
 
 
-def steering_vector(theta_rad: float | np.ndarray, n: int) -> np.ndarray:
-    """Half-wavelength ULA steering vectors [1, e^{j pi sin t}, ...].
-
-    ``theta_rad`` is one angle or an array of angles; the result has shape
-    ``(n,) + shape(theta_rad)``, antenna index first.
-    """
-    sin = np.sin(theta_rad)
-    antenna = np.arange(n).reshape((n,) + (1,) * np.ndim(sin))
-    return np.exp(1j * np.pi * antenna * sin)
-
-
 # Entries per slice wherever a block is worked on piecewise (column_slices):
 # the noise floats drawn at a time, the floats of apply_transform's rank-1
-# update, and the bits run_trial draws, modulates, multiplies into the
-# received block, equalizes and slices at a time.
+# update, the bits draw_trial draws, modulates and multiplies into the
+# received block, and the bits detect equalizes and slices at a time.
 SLICE_SIZE = 1 << 16
 
 
@@ -71,21 +60,6 @@ def add_noise(y: np.ndarray, n0: float, rng: np.random.Generator) -> None:
             part[s] += rng.standard_normal(s.stop - s.start) * scale
 
 
-def complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    """I.i.d. circularly-symmetric complex Gaussian, given variance per entry.
-
-    A zero array plus ``add_noise``: the real and then the imaginary parts
-    are drawn slice by slice and scaled by sqrt(variance/2). For a positive
-    variance the result is bit for bit
-    ``scale * (rng.standard_normal(shape) + 1j*rng.standard_normal(shape))``,
-    from the same draws of ``rng``. A negative or NaN variance raises
-    ValueError.
-    """
-    out = np.zeros(shape, dtype=complex)
-    add_noise(out, variance, rng)
-    return out
-
-
 def generate_channel(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw a (B, U) geometric multipath channel matrix for the scenario
     fields of ``cfg`` (array, users and the four channel-model keys).
@@ -103,11 +77,14 @@ def generate_channel(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndar
 
     sector = np.deg2rad(cfg.angle_sector_deg)
     theta = rng.uniform(-sector, sector, size=(npaths, u))
-    alpha = complex_noise(rng, (npaths, u), 1.0) * np.sqrt(profile)[:, None]
+    alpha = np.zeros((npaths, u), dtype=complex)
+    add_noise(alpha, 1.0, rng)
+    alpha *= np.sqrt(profile)[:, None]
     shadow_db = rng.normal(0.0, cfg.shadowing_std_db, size=u)
     beta = 10.0 ** (shadow_db / 10.0)
 
-    steer = steering_vector(theta, b)  # (B, paths, U)
+    # Half-wavelength ULA steering vectors, antenna index first: (B, paths, U).
+    steer = np.exp(1j * np.pi * np.arange(b)[:, None, None] * np.sin(theta))
     g = (steer * alpha[None, :, :]).sum(axis=1) / np.sqrt(npaths)
     return g * np.sqrt(beta)[None, :]
 
@@ -209,9 +186,9 @@ def observe(
     ``n0`` raises ValueError.
 
     ``s`` may be a length-U symbol vector or a (U, n) block of symbol
-    vectors; the noise is drawn per entry of the output. The product h @ s
-    plus ``add_noise``: for a positive ``n0``, bit for bit
-    ``h @ s + complex_noise(rng, shape, n0)``, drawn in the same order.
+    vectors; the noise is drawn per entry of the output. For a positive
+    ``n0``, bit for bit h @ s + sqrt(n0/2) * (a + 1j*b), for a and b two
+    ``rng.standard_normal`` draws of the output's shape in that order.
     """
     s = np.asarray(s)
     if s.shape[0] != h.shape[1]:

@@ -327,10 +327,10 @@ def build_receiver(cfg: ExperimentConfig, method: str, est, n0: float) -> Receiv
     return Receiver(w, transform, gains, quant)
 
 
-def detect(receiver: Receiver, y: np.ndarray, tx_bits: np.ndarray, slices) -> int:
-    """The bit errors of ``receiver`` on the data block ``y``. The transform
-    (a RuntimeError if it does not keep the energy) and the ADC write over
-    ``y``; then it is equalized and sliced a slice of ``y`` columns at a time."""
+def detect(receiver: Receiver, y: np.ndarray, tx_bits: np.ndarray) -> int:
+    """The bit errors of ``receiver`` on the data block ``y`` of ``tx_bits``.
+    The transform (a RuntimeError if it does not keep the energy) and the ADC
+    write over ``y``; then it is equalized and sliced as ``draw_trial`` drew it."""
     if receiver.transform is not None:
         # Sampled unitarity check: the transform must conserve energy.
         n_in = float(np.linalg.norm(y[:, 0]))
@@ -344,7 +344,7 @@ def detect(receiver: Receiver, y: np.ndarray, tx_bits: np.ndarray, slices) -> in
         y = adc(y, receiver.gains, receiver.quant)
     # The (U, cols) soft symbols, transposed, list the symbols in tx_bits order.
     errors = 0
-    for rows in slices:
+    for rows in column_slices(*tx_bits.shape):
         s_hat = equalize(receiver.w, y[:, rows])
         errors += count_bit_errors(tx_bits[rows], hard_slice(s_hat.T))[0]
     return errors
@@ -356,12 +356,11 @@ def run_trial(
     msnr_db: float,
     realization_index: int,
 ) -> tuple[int, int]:
-    """One channel realization of one method at one MSNR point.
-
-    Makes every random draw first (``draw_trial``), then runs the receiver
-    on them: the training estimate, ``build_receiver`` and ``detect``.
-    Returns (bit_errors, total_bits) and is fully deterministic given
-    (cfg.seed, method, msnr_db, realization_index).
+    """One channel realization of one method at one MSNR point: every random
+    draw first (``draw_trial``), then the training estimate, ``build_receiver``
+    and ``detect``, which slices the data block as it was drawn. Returns
+    (bit_errors, total_bits) and is fully deterministic given (cfg.seed,
+    method, msnr_db, realization_index).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -370,8 +369,7 @@ def run_trial(
     )
     est = estimate_from_training(y_train, pilots, cfg.clusters)
     receiver = build_receiver(cfg, method, est, n0)
-    slices = column_slices(*tx_bits.shape)
-    return detect(receiver, y, tx_bits, slices), tx_bits.size
+    return detect(receiver, y, tx_bits), tx_bits.size
 
 
 # mallopt parameter numbers from glibc's <malloc.h>.

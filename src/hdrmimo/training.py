@@ -53,17 +53,17 @@ simulate_training = observe
 def ls_channel_estimate(y_train: np.ndarray, pilots: np.ndarray) -> np.ndarray:
     """Least-squares estimate Y_T S_T^H / K for orthogonal pilots.
 
-    The (U, K) pilot block must meet S_T S_T^H = K I exactly, as +-1
-    Hadamard rows do; then the general estimate Y_T S_T^H (S_T S_T^H)^{-1}
-    needs no solve. Any other pilot block raises ValueError.
+    The (U, K) pilot block must meet S_T S_T^H = K I exactly with K >= 1, as
+    +-1 Hadamard rows do; then the general estimate Y_T S_T^H (S_T S_T^H)^{-1}
+    needs no solve. Any other pilot block, an empty one too, raises ValueError.
     """
     pilots = np.asarray(pilots)
-    if pilots.ndim != 2 or not np.array_equal(
+    if pilots.ndim != 2 or pilots.shape[1] < 1 or not np.array_equal(
         pilots @ pilots.conj().T, pilots.shape[1] * np.eye(len(pilots))
     ):
         raise ValueError(
             f"pilots of shape {pilots.shape} are not orthogonal rows of "
-            "squared norm K (S S^H != K I)"
+            "squared norm K >= 1 (S S^H = K I)"
         )
     return (y_train @ pilots.conj().T) / pilots.shape[1]
 

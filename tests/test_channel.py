@@ -6,12 +6,10 @@ import pytest
 from hdrmimo import channel
 from hdrmimo.channel import (
     apply_power_control,
-    complex_noise,
     generate_channel,
     noise_variance_from_msnr,
     observe,
     realize_channel,
-    steering_vector,
 )
 from hdrmimo.harness import ExperimentConfig
 
@@ -51,18 +49,6 @@ class TestScenarioConfig:
 
 
 class TestGenerateChannel:
-    def test_broadside_steering(self):
-        assert np.allclose(steering_vector(0.0, 8), np.ones(8))
-
-    def test_steering_broadcasts_over_angles(self):
-        # An angle array gives one steering vector per angle, antenna index
-        # first, each bit-identical to the single-angle call.
-        theta = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 5))
-        steer = steering_vector(theta, 16)
-        assert steer.shape == (16, 3, 5)
-        for i, j in np.ndindex(theta.shape):
-            assert np.array_equal(steer[:, i, j], steering_vector(theta[i, j], 16))
-
     def test_single_path_columns_follow_steering(self):
         # One path at broadside, no shadowing: every column is a complex
         # scalar times the all-ones steering vector.
@@ -71,6 +57,20 @@ class TestGenerateChannel:
         for u in range(cfg.ues):
             col = g[:, u] / g[0, u]
             assert np.allclose(col, np.ones(cfg.bs_antennas), atol=1e-12)
+
+    def test_single_path_columns_follow_drawn_angles(self):
+        # One path in a nonzero sector: column u over its first entry is the
+        # steering vector exp(j pi n sin theta_u), antenna index n first, for
+        # the angles the generator draws first from its stream.
+        cfg = small_cfg(paths=1, angle_sector_deg=60.0)
+        g = generate_channel(cfg, np.random.default_rng(3))
+        sector = np.deg2rad(cfg.angle_sector_deg)
+        theta = np.random.default_rng(3).uniform(-sector, sector, size=(1, cfg.ues))
+        n = np.arange(cfg.bs_antennas)
+        for u in range(cfg.ues):
+            steer = np.exp(1j * np.pi * n * np.sin(theta[0, u]))
+            assert np.allclose(g[:, u] / g[0, u], steer, atol=1e-12)
+            assert not np.allclose(steer, 1.0)
 
     def test_mean_column_energy(self):
         # Monte Carlo oracle: without shadowing the expected column energy
@@ -276,7 +276,7 @@ class TestObserve:
     @pytest.mark.parametrize("n0", [-1.0, np.nan])
     def test_bad_noise_variance_rejected(self, n0):
         with pytest.raises(ValueError, match="noise variance"):
-            complex_noise(np.random.default_rng(0), (2,), n0)
+            channel.add_noise(np.zeros(2, complex), n0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="noise variance"):
             observe(np.ones((4, 2)), np.ones(2), n0, np.random.default_rng(0))
 

@@ -15,7 +15,6 @@ import pytest
 
 from hdrmimo import channel
 from hdrmimo.channel import (
-    complex_noise,
     noise_variance_from_msnr,
     observe,
     realize_channel,
@@ -52,6 +51,18 @@ _LEVEL_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 def reference_complex_noise(rng, shape, variance):
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def reference_add_noise(y, n0, rng):
+    y += reference_complex_noise(rng, y.shape, n0)
+
+
+def noise_on_zeros(rng, shape, variance):
+    # channel.add_noise on a zero block: the noise alone, as the channel
+    # generator draws its path gains.
+    out = np.zeros(shape, dtype=complex)
+    channel.add_noise(out, variance, rng)
+    return out
 
 
 def reference_observe(h, s, n0, rng):
@@ -134,12 +145,12 @@ def reference_build_unquantized_lmmse(h_hat, n0):
 def reference_run_trial(cfg, method, msnr_db, realization_index):
     """The trial body with every data-path stage replaced by its reference.
 
-    The channel draw goes through ``reference_complex_noise`` too, patched
-    in where ``channel`` looks the function up. The bits are drawn in one
-    call and sliced as one block.
+    The channel's path gains are drawn by ``reference_add_noise`` too,
+    patched in where ``generate_channel`` looks ``add_noise`` up. The bits
+    are drawn in one call and sliced as one block.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(channel, "complex_noise", reference_complex_noise)
+        patch.setattr(channel, "add_noise", reference_add_noise)
         rng = trial_rng(cfg.seed, method, msnr_db, realization_index)
         h = realize_channel(cfg, rng, power_control_all=(method == "wsu"))
     n0 = noise_variance_from_msnr(h, msnr_db)
@@ -200,7 +211,7 @@ class TestNoise:
     @pytest.mark.parametrize("variance", [1.0, 0.37, 1e-3, 250.0])
     def test_complex_noise(self, shape, variance):
         rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-        out = complex_noise(rng, shape, variance)
+        out = noise_on_zeros(rng, shape, variance)
         assert_same_floats(out, reference_complex_noise(ref_rng, shape, variance))
         # The same number of draws: the streams continue in step.
         assert rng.standard_normal() == ref_rng.standard_normal()
@@ -220,7 +231,7 @@ class TestNoise:
         cols = next(k for k in (64, 5, 1) if n % k == 0)
         shape = (n,) if ndim == 1 else (n // cols, cols)
         rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
-        out = complex_noise(rng, shape, 0.37)
+        out = noise_on_zeros(rng, shape, 0.37)
         assert_same_floats(out, reference_complex_noise(ref_rng, shape, 0.37))
         assert rng.standard_normal() == ref_rng.standard_normal()
 
@@ -233,7 +244,7 @@ class TestNoise:
 
     def test_zero_variance_gives_zeros(self):
         rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
-        out = complex_noise(rng, (4, 6), 0.0)
+        out = noise_on_zeros(rng, (4, 6), 0.0)
         assert np.array_equal(out, reference_complex_noise(ref_rng, (4, 6), 0.0))
         assert not np.any(out)
         assert rng.standard_normal() == ref_rng.standard_normal()

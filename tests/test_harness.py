@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdrmimo import cli, harness, linalg
-from hdrmimo.channel import column_slices
 from hdrmimo.cli import build_parser, config_from_argv
 from hdrmimo.cli import main as cli_main
 from hdrmimo.harness import (
@@ -546,7 +545,7 @@ class TestRunTrial:
             cfg, method, estimate_from_training(y_train, pilots, cfg.clusters), n0
         )
         received = y.copy()
-        errors = detect(receiver, y, tx_bits, column_slices(*tx_bits.shape))
+        errors = detect(receiver, y, tx_bits)
         assert (errors, tx_bits.size) == run_trial(cfg, method, 10.0, 3)
         # The transform and the ADC write over y: a caller that runs several
         # receivers on one draw, as one draw per cell or per realization
@@ -889,6 +888,20 @@ class TestCli:
         assert plot.exists()
         assert "wrote 2 records" in capsys.readouterr().out
 
+    def test_module_entry_point_prints_usage(self):
+        # python -m hdrmimo.cli reaches main through the __main__ guard.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdrmimo.cli", "--help"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hdrmimo ")
+
     def test_empty_plot_script_writes_no_script(self, tmp_path):
         out = tmp_path / "ber.csv"
         rc = cli_main(
@@ -1149,8 +1162,9 @@ print((after - before) / (len(cfg.methods) * cfg.realizations))
 
 
 class TestReadme:
-    """The README's config file and command line still parse, so it cannot
-    go on documenting a key or flag that no longer exists."""
+    """The README's config file, command line and library example still
+    parse and run, so it cannot go on documenting a key, flag or function
+    that no longer exists."""
 
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```\w*\n(.*?)^```", text, re.S | re.M)
@@ -1171,3 +1185,22 @@ class TestReadme:
         assert argv[0] == "hdrmimo"
         cfg = config_from_argv(argv[1:])
         assert (cfg.bs_antennas, cfg.ues, cfg.clusters) == (64, 8, 8)
+
+    def test_library_example_runs(self, monkeypatch):
+        # The sweep and the CSV writer are stubs: the block's config, calls
+        # and names are checked, not its 2,000 trials.
+        import hdrmimo
+
+        (block,) = [b for b in self.blocks if b.startswith("import hdrmimo")]
+        calls = []
+        monkeypatch.setattr(
+            hdrmimo, "run_sweep", lambda cfg: calls.append(cfg) or ["row"]
+        )
+        monkeypatch.setattr(
+            hdrmimo, "write_csv", lambda records, path: calls.append((records, path))
+        )
+        exec(block, {})
+        cfg, written = calls
+        assert isinstance(cfg, ExperimentConfig)
+        assert (cfg.bs_antennas, cfg.ues, cfg.clusters) == (64, 8, 8)
+        assert written == (["row"], "results.csv")

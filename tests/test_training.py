@@ -127,9 +127,10 @@ class TestLsEstimate:
             np.ones((2, 4)),  # identical rows
             2.0 * generate_pilots(4)[:2],  # orthogonal, but S S^H = 4K I
             np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]]),  # full rank
+            np.zeros((2, 0)),  # no pilot symbols: S S^H = 0 = K I for K = 0
         ):
             with pytest.raises(ValueError, match="pilots"):
-                ls_channel_estimate(y, bad)
+                ls_channel_estimate(y[:, : bad.shape[1]], bad)
 
 
 class TestSampleCovariance:
